@@ -3,12 +3,9 @@
 fn main() {
     let mut plans = 200u64;
     let mut smoke = false;
-    let mut json = false;
     for arg in std::env::args().skip(1) {
         if arg == "--smoke" {
             smoke = true;
-        } else if arg == "--json" {
-            json = true;
         } else if let Ok(v) = arg.parse::<u64>() {
             plans = v;
         }
@@ -19,7 +16,4 @@ fn main() {
     let out = ubft_bench::chaos_explore(plans);
     print!("{out}");
     assert!(out.contains("violating: 0"), "chaos exploration found audit violations");
-    if json {
-        ubft_bench::emit_standard_json("chaos_explore", plans.min(ubft_bench::SMOKE_SAMPLES));
-    }
 }

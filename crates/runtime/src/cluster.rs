@@ -8,8 +8,9 @@
 //! busy-until cursors using the calibrated [`CostModel`](ubft_sim::cost::CostModel).
 //!
 //! [`Cluster`] is a thin facade: the per-replica protocol state lives in
-//! the private `node::ReplicaNode`, and the event loop, lanes, and
-//! clients live in the private `group::GroupRuntime` — the same machinery
+//! the private `node::ReplicaNode`, driven by the private `driver`, and
+//! the event loop, lanes, and clients live in the private
+//! `group::GroupRuntime` — the same machinery
 //! that [`ShardedCluster`](crate::sharded::ShardedCluster) instantiates
 //! `G` times over one shared fabric.
 

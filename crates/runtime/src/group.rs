@@ -1,6 +1,24 @@
-//! One consensus group's runtime, and the deployment driver shared by the
-//! single-group [`Cluster`](crate::cluster::Cluster) facade and the
-//! multi-group [`ShardedCluster`](crate::sharded::ShardedCluster).
+//! The simulator backend: one consensus group's runtime, its virtual-time
+//! [`Host`], and the deployment loop shared by the single-group
+//! [`Cluster`](crate::cluster::Cluster) facade and the multi-group
+//! [`ShardedCluster`](crate::sharded::ShardedCluster).
+//!
+//! Replicas are driven by the shared [`driver`](crate::driver) — the same
+//! interpreter the threaded backend runs. This module supplies what the
+//! driver asks of a host, in virtual time:
+//!
+//! * **sends** through simulated circular-buffer links on the RDMA fabric
+//!   model ([`SimLinkTransport`]), each arrival a receiver-poll event;
+//! * **timers, crypto jobs, and register accesses** as events on the
+//!   shared queue (signatures and verifications complete after their
+//!   calibrated cost; SWMR register quorums run against the simulated
+//!   memory nodes);
+//! * **cost charging** on two cursors per replica — the event-loop core
+//!   and the background crypto worker (§5.4) — and the deferral of
+//!   crypto-bearing engine batches behind that worker (`Ev::EngineFx`);
+//! * **checkpoint snapshots** retained for certified state transfers;
+//! * **fault injection**: scheduled crashes, replacement nodes, and
+//!   Byzantine modes, plus the omniscient safety auditor as observer.
 //!
 //! A [`GroupRuntime`] owns everything one `2f + 1` group needs — its
 //! [`ReplicaNode`]s, the channel lanes between them, its partition of the
@@ -14,12 +32,11 @@
 
 use ubft_core::app::App;
 use ubft_core::client::{Client, ClientEffect};
-use ubft_core::engine::{CryptoOps, Effect, Engine, EngineConfig, PathMode, TimerKind};
-use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request, TbMsg};
-use ubft_crypto::{KeyRing, Signature};
-use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
-use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver, TbEffect};
-use ubft_ctb::wire::{signed_bytes, CtbWire, TbAck, TbFrame, TbWire};
+use ubft_core::engine::{CryptoOps, Effect};
+use ubft_core::msg::Reply;
+use ubft_crypto::{Digest, KeyRing, Signature};
+use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
+use ubft_ctb::wire::signed_bytes;
 use ubft_dmem::register::{
     ReadOutcome, RegisterBank, RegisterId, RegisterReader, RegisterWriter, WriteOutcome,
 };
@@ -29,9 +46,7 @@ use ubft_sim::net::NetworkModel;
 use ubft_sim::stats::LatencyStats;
 use ubft_sim::{EventQueue, HostId, SimRng};
 use ubft_transport::channel::ChannelSpec;
-use ubft_transport::net::{
-    LaneId, Transport, LANE_CLIENT_REQ, LANE_CLIENT_RESP, LANE_CONS_TB, LANE_DIRECT,
-};
+use ubft_transport::net::Transport;
 use ubft_transport::sim_link::SimLinkTransport;
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId, Slot, Time, View};
@@ -39,37 +54,8 @@ use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId, Slot, Time, Vi
 use crate::audit::{AuditMutation, AuditReport, Auditor};
 use crate::calibration::SimConfig;
 use crate::cluster::{OpCounters, RunReport};
-use crate::node::{ReplicaNode, SNAPSHOT_RETAIN};
-
-/// Message lanes between nodes of one group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum Lane {
-    /// TBcast traffic of CTBcast stream `stream`.
-    CtbTb { stream: usize },
-    /// Consensus-level TBcast traffic.
-    ConsTb,
-    /// Point-to-point protocol messages.
-    Direct,
-    /// Client requests.
-    ClientReq,
-    /// Replica replies.
-    ClientResp,
-}
-
-impl Lane {
-    /// The lane's id in the transport's flat [`LaneId`] namespace:
-    /// CTBcast stream `s` maps to lane `s`, everything else to the
-    /// reserved high ids (stream counts are far below them).
-    pub(crate) fn id(self) -> LaneId {
-        match self {
-            Lane::CtbTb { stream } => stream as LaneId,
-            Lane::ConsTb => LANE_CONS_TB,
-            Lane::Direct => LANE_DIRECT,
-            Lane::ClientReq => LANE_CLIENT_REQ,
-            Lane::ClientResp => LANE_CLIENT_RESP,
-        }
-    }
-}
+use crate::driver::{Done, Host, Lane, Observed, Timer};
+use crate::node::{key_ring, ReplicaNode, Snapshot, SNAPSHOT_RETAIN};
 
 /// Simulation events. All indices are group-local; the queue tags each
 /// event with its group id.
@@ -84,35 +70,15 @@ pub(crate) enum Ev {
         from: usize,
         to: usize,
     },
+    /// A timer replica `r` armed fired.
     Timer {
         r: usize,
-        kind: TimerKind,
+        timer: Timer,
     },
-    CtbSlow {
+    /// A crypto job or register access of replica `r` completed.
+    Done {
         r: usize,
-        k: SeqId,
-    },
-    CtbSignDone {
-        r: usize,
-        k: SeqId,
-        sig: Signature,
-    },
-    CtbVerifyDone {
-        r: usize,
-        stream: usize,
-        tag: VerifyTag,
-        ok: bool,
-    },
-    CtbWritten {
-        r: usize,
-        stream: usize,
-        k: SeqId,
-    },
-    CtbReadDone {
-        r: usize,
-        stream: usize,
-        k: SeqId,
-        entries: Vec<Option<RegEntry>>,
+        done: Done,
     },
     ClientIssue {
         c: usize,
@@ -125,11 +91,6 @@ pub(crate) enum Ev {
     ClientRetry {
         c: usize,
         id: ubft_types::RequestId,
-    },
-    /// Periodic TBcast retransmission tick for replica `r` (§4.2: the
-    /// broadcaster retransmits its buffered tail until acknowledged).
-    Retransmit {
-        r: usize,
     },
     /// Boot the replacement node for crashed replica `r` on `host` (the
     /// fresh host id pre-allocated by the deployment).
@@ -197,321 +158,92 @@ pub(crate) struct Shared<'a> {
     pub audit: &'a mut Option<Auditor>,
 }
 
-/// One consensus group: `2f + 1` [`ReplicaNode`]s, their lanes, their
-/// partition of the register banks, and their closed-loop clients.
-pub(crate) struct GroupRuntime {
+/// The virtual-time host's per-replica state.
+struct SimReplica {
+    /// Main-core busy-until cursor (event-loop dispatch serializes here).
+    busy: Time,
+    /// Crypto-worker busy-until cursor: engine signatures/verifications
+    /// serialize here instead of on the main cursor (the paper's
+    /// background crypto pool, §5.4).
+    crypto_busy: Time,
+    /// Engine-effect batches deferred behind crypto completion that have
+    /// not been applied yet (see [`Ev::EngineFx`]).
+    deferred_fx: u32,
+    /// Scheduled time of the most recent deferred batch: later batches —
+    /// even crypto-free ones — must apply after it to preserve the
+    /// engine's emission order.
+    deferred_until: Time,
+    /// Incarnation counter, bumped on replacement: deferred batches carry
+    /// the epoch that scheduled them and are dropped on mismatch.
+    epoch: u32,
+    /// SWMR register writers this replica owns: `reg_writers[stream]` is
+    /// the writer for this replica's slots in `stream`'s bank.
+    reg_writers: Vec<RegisterWriter>,
+    /// Recent checkpoint snapshots, oldest first, retained to serve
+    /// certified state transfers — to replacement nodes and to replicas
+    /// that lagged a whole window behind a partition or asynchrony. Empty
+    /// (and never populated) unless the deployment's fault plan schedules
+    /// faults, so failure-free runs pay nothing.
+    snapshots: Vec<Snapshot>,
+}
+
+/// The group's side of the virtual-time host: placement, links, register
+/// endpoints, and the per-replica cost cursors.
+struct SimNet {
     gid: u32,
-    pub(crate) cfg: SimConfig,
     /// First global host id of this group's `n + n_clients` host block.
     host_base: u32,
     /// Current host of each replica: `host_base + r` until a replacement
     /// moves that replica to a freshly allocated host. Clients never move.
     hosts: Vec<HostId>,
-    pub(crate) nodes: Vec<ReplicaNode>,
     /// The group's message plane: simulated circular-buffer links behind
     /// the [`Transport`] trait (the fabric is the call-site context).
     transport: SimLinkTransport,
-    /// `reg_banks[stream][owner]`: the SWMR banks themselves, retained so
-    /// a replacement node can be re-keyed as a bank's writer.
-    reg_banks: Vec<Vec<RegisterBank>>,
     /// `reg_readers[stream][owner]`: shared read endpoints (readers are
-    /// host-agnostic; writers live with their owning node).
+    /// host-agnostic; writers live with their owning replica).
     reg_readers: Vec<Vec<RegisterReader>>,
-    reg_banks_bytes_per_node: usize,
-    /// Serialized genesis application state, for resetting a replacement
-    /// node's app before its state transfer. Captured only when the fault
-    /// plan schedules replacements.
-    genesis_snapshot: Vec<u8>,
-    /// Whether nodes retain checkpoint snapshots (only when replacements
-    /// are planned; failure-free runs pay nothing).
-    keep_snapshots: bool,
-    /// State transfers that found no live donor snapshot (the pre-PR
-    /// fast-forward behaviour applies; surfaced in diagnostics because it
-    /// means a replica's application state may have silently diverged).
-    transfer_misses: u64,
-    clients: Vec<Client>,
-    issue_times: Vec<Time>,
-    /// Consecutive empty workload pulls per client, driving exponential
-    /// retry backoff so starved shards cannot flood the event queue.
-    idle_backoff: Vec<u32>,
-    workload: GroupWorkload,
+    /// Per-replica host state, in replica order.
+    reps: Vec<SimReplica>,
+    /// Signs and verifies CTBcast slow-path evidence.
     ring: KeyRing,
-    /// Not-yet-applied scheduled crash times, one slot per replica
-    /// (precomputed from the fault plan so the hot event loop never
-    /// rescans it; an entry is cleared once the crash takes effect).
-    crash_times: Vec<Option<Time>>,
-    /// How many entries of `crash_times` are still pending.
-    pending_crashes: usize,
-    /// Byzantine detections reported by engines: (detector, culprit, why).
-    byz_reports: Vec<(usize, u32, String)>,
-    pub(crate) counters: OpCounters,
-    pub(crate) latency: LatencyStats,
-    pub(crate) completed: u64,
+    /// Delay from a message's arrival to the receiver's poll picking it up.
+    poll_pickup: Duration,
+    /// Whether replicas retain checkpoint snapshots.
+    keep_snapshots: bool,
 }
 
-impl GroupRuntime {
-    /// Builds one group inside an existing deployment: creates engines,
-    /// CTBcast stacks, channels, and register banks on the shared fabric,
-    /// and pushes the group's start-up events (engine watchdogs, TBcast
-    /// retransmission ticks) onto the shared queue.
-    pub(crate) fn new(
-        gid: u32,
-        cfg: SimConfig,
-        host_base: u32,
-        mem_hosts: &[HostId],
-        apps: Vec<Box<dyn App>>,
-        workload: GroupWorkload,
-        sh: &mut Shared<'_>,
-    ) -> Self {
-        let n = cfg.params.n();
-        assert_eq!(apps.len(), n, "one app instance per replica");
-        let n_clients = cfg.n_clients.max(1);
-
-        let ring = KeyRing::generate(
-            cfg.seed ^ 0x5EED,
-            (0..n as u32)
-                .map(|i| ProcessId::Replica(ReplicaId(i)))
-                .chain((0..n_clients as u32).map(|i| ProcessId::Client(ClientId(i)))),
-        );
-
-        // Engines.
-        let engines: Vec<Engine> = (0..n as u32)
-            .map(|i| Engine::new(ReplicaId(i), engine_config(&cfg, i as usize), ring.clone()))
-            .collect();
-
-        // CTBcast instances per replica: one per stream.
-        let replica_ids: Vec<ReplicaId> = cfg.params.replicas().collect();
-        let ctb_cfg_for = |_s: usize| match cfg.path {
-            PathMode::FastOnly => {
-                CtbConfig { n, tail: cfg.params.tail, fast_enabled: true, slow: SlowMode::Never }
-            }
-            PathMode::SlowOnly => {
-                CtbConfig { n, tail: cfg.params.tail, fast_enabled: false, slow: SlowMode::Always }
-            }
-            PathMode::FastWithFallback => CtbConfig::deployed(n, cfg.params.tail),
-        };
-        let mut ctbs: Vec<Vec<Ctb>> = (0..n)
-            .map(|r| {
-                (0..n)
-                    .map(|s| {
-                        Ctb::new(
-                            ReplicaId(r as u32),
-                            ReplicaId(s as u32),
-                            replica_ids.clone(),
-                            ctb_cfg_for(s),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // TBcast endpoints. Buffers hold 2t messages (Algorithm 1).
-        let cap = 2 * cfg.params.tail;
-        let peers_of = |r: usize| -> Vec<ReplicaId> {
-            (0..n as u32).map(ReplicaId).filter(|x| x.0 as usize != r).collect()
-        };
-        let mut ctb_tx: Vec<Vec<TailBroadcaster>> = (0..n)
-            .map(|r| {
-                (0..n)
-                    .map(|_s| TailBroadcaster::new(ReplicaId(r as u32), peers_of(r), cap))
-                    .collect()
-            })
-            .collect();
-        let mut ctb_rx: Vec<Vec<Vec<TailReceiver>>> = (0..n)
-            .map(|_r| {
-                (0..n)
-                    .map(|_s| {
-                        (0..n)
-                            .map(|sender| TailReceiver::new(ReplicaId(sender as u32), cap))
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut cons_tx: Vec<TailBroadcaster> =
-            (0..n).map(|r| TailBroadcaster::new(ReplicaId(r as u32), peers_of(r), cap)).collect();
-        let mut cons_rx: Vec<Vec<TailReceiver>> = (0..n)
-            .map(|_r| (0..n).map(|s| TailReceiver::new(ReplicaId(s as u32), cap)).collect())
-            .collect();
-
-        // Links, in the shared fabric, addressed by global host ids.
-        let host = |local: usize| HostId(host_base + local as u32);
-        let spec = ChannelSpec { slots: cap, slot_payload: cfg.slot_payload() };
-        let wide_spec = ChannelSpec { slots: cap, slot_payload: cfg.wide_slot_payload() };
-        let client_spec = ChannelSpec { slots: 64, slot_payload: cfg.slot_payload() };
-        let mut transport = SimLinkTransport::new();
-        let mut open = |fabric: &mut Fabric, lane: Lane, from: usize, to: usize, spec| {
-            transport.open_link(
-                fabric,
-                lane.id(),
-                from as u32,
-                to as u32,
-                host(from),
-                host(to),
-                spec,
-            );
-        };
-        for from in 0..n {
-            for to in 0..n {
-                if from == to {
-                    continue;
-                }
-                for s in 0..n {
-                    open(sh.fabric, Lane::CtbTb { stream: s }, from, to, spec);
-                }
-                for lane in [Lane::ConsTb, Lane::Direct] {
-                    open(sh.fabric, lane, from, to, wide_spec);
-                }
-            }
-        }
-        for c in 0..n_clients {
-            let c_node = n + c;
-            for r in 0..n {
-                open(sh.fabric, Lane::ClientReq, c_node, r, client_spec);
-                open(sh.fabric, Lane::ClientResp, r, c_node, client_spec);
-            }
-        }
-
-        // SWMR register banks: banks[stream][owner], replicated on the
-        // shared memory nodes; only `owner` holds the writer. Each group
-        // creates its own banks, so the memory nodes' space is partitioned
-        // per group. The banks themselves are retained (not just their
-        // endpoints): a replacement node is re-keyed as its predecessor's
-        // banks' writer.
-        let mut reg_banks: Vec<Vec<RegisterBank>> = Vec::with_capacity(n);
-        let mut reg_readers: Vec<Vec<RegisterReader>> = Vec::with_capacity(n);
-        let mut bank_bytes = 0usize;
-        for _s in 0..n {
-            let mut banks = Vec::with_capacity(n);
-            let mut rs = Vec::with_capacity(n);
-            for _owner in 0..n {
-                let bank = RegisterBank::create(
-                    sh.fabric,
-                    mem_hosts,
-                    cfg.params.tail,
-                    RegEntry::encoded_size(),
-                    cfg.params.delta,
-                );
-                bank_bytes += bank.bytes_per_node();
-                rs.push(bank.reader());
-                banks.push(bank);
-            }
-            reg_readers.push(rs);
-            reg_banks.push(banks);
-        }
-        let mut reg_writers: Vec<Vec<RegisterWriter>> =
-            (0..n).map(|owner| (0..n).map(|s| reg_banks[s][owner].writer()).collect()).collect();
-
-        let clients: Vec<Client> = (0..n_clients as u32)
-            .map(|i| Client::new(ClientId(i), replica_ids.clone(), cfg.params.quorum()))
-            .collect();
-
-        // Checkpoint snapshots are retained whenever the plan schedules
-        // *any* fault or an asynchronous prefix — not just replacements: a
-        // replica that misses a whole window behind a partition or pre-GST
-        // delays heals through the same certified state transfer, and
-        // without a retained donor snapshot it would silently fast-forward
-        // with diverged state (the chaos auditor caught exactly that).
-        // Failure-free runs still pay nothing.
-        let keep_snapshots = !cfg.failures.faults().is_empty() || cfg.failures.gst > Time::ZERO;
-        let genesis_snapshot = if keep_snapshots { apps[0].snapshot_bytes() } else { Vec::new() };
-
-        let nodes: Vec<ReplicaNode> = engines
-            .into_iter()
-            .zip(apps)
-            .map(|(engine, app)| ReplicaNode {
-                engine,
-                app,
-                ctbs: ctbs.remove(0),
-                ctb_tx: ctb_tx.remove(0),
-                ctb_rx: ctb_rx.remove(0),
-                cons_tx: cons_tx.remove(0),
-                cons_rx: cons_rx.remove(0),
-                reg_writers: reg_writers.remove(0),
-                busy: Time::ZERO,
-                crypto_busy: Time::ZERO,
-                crashed: false,
-                snapshots: Vec::new(),
-                deferred_fx: 0,
-                deferred_until: Time::ZERO,
-                epoch: 0,
-                summary_stall_ticks: 0,
-                // Mirrors the engine's in-flight floor: an entry evicted
-                // before its client could possibly need a re-reply would
-                // stall that client forever.
-                reply_cache: ubft_core::lru::LruMap::new(
-                    cfg.client_cache_cap
-                        .map(|c| c.max(2 * cfg.params.window * cfg.max_batch.max(1))),
-                ),
-                exec_log: Vec::new(),
-            })
-            .collect();
-
-        let crash_times: Vec<Option<Time>> =
-            (0..n).map(|r| cfg.failures.replica_crash_time(r)).collect();
-        let pending_crashes = crash_times.iter().filter(|t| t.is_some()).count();
-        let mut group = GroupRuntime {
-            gid,
-            host_base,
-            hosts: (0..n as u32).map(|r| HostId(host_base + r)).collect(),
-            nodes,
-            transport,
-            reg_banks,
-            reg_readers,
-            reg_banks_bytes_per_node: bank_bytes,
-            genesis_snapshot,
-            keep_snapshots,
-            transfer_misses: 0,
-            clients,
-            issue_times: vec![Time::ZERO; n_clients],
-            idle_backoff: vec![0; n_clients],
-            workload,
-            ring,
-            crash_times,
-            pending_crashes,
-            byz_reports: Vec::new(),
-            counters: OpCounters::default(),
-            latency: LatencyStats::new(),
-            completed: 0,
-            cfg,
-        };
-        // Engine start-up (progress watchdogs).
-        for r in 0..n {
-            let fx = group.nodes[r].engine.start();
-            let ops = group.nodes[r].engine.take_crypto_ops();
-            group.apply_engine_effects(sh, r, Time::ZERO, fx, ops);
-        }
-        // TBcast retransmission ticks, staggered so replicas do not burst
-        // in lockstep.
-        for r in 0..n {
-            let offset = Duration::from_nanos(1_000 * (r as u64 + 1));
-            sh.events.push(
-                Time::ZERO + group.cfg.retransmit_period + offset,
-                (gid, Ev::Retransmit { r }),
-            );
-        }
-        group
-    }
-
-    fn n(&self) -> usize {
-        self.cfg.params.n()
-    }
-
-    pub(crate) fn n_clients(&self) -> usize {
-        self.clients.len()
-    }
-
-    fn client_node(&self, c: usize) -> usize {
-        self.n() + c
-    }
-
+impl SimNet {
     /// Current host of group-local index `idx` (replica or client).
-    /// Replicas may have moved to a replacement host; clients never move.
     fn host_of(&self, idx: usize) -> HostId {
-        if idx < self.nodes.len() {
+        if idx < self.hosts.len() {
             self.hosts[idx]
         } else {
             HostId(self.host_base + idx as u32)
+        }
+    }
+
+    /// Opens (or re-opens, dropping the old endpoints) every lane from
+    /// replica `from` to replica `to`.
+    fn open_replica_links(&mut self, fabric: &mut Fabric, cfg: &SimConfig, from: usize, to: usize) {
+        let cap = 2 * cfg.params.tail;
+        let spec = ChannelSpec { slots: cap, slot_payload: cfg.slot_payload() };
+        let wide_spec = ChannelSpec { slots: cap, slot_payload: cfg.wide_slot_payload() };
+        let lanes = (0..cfg.params.n())
+            .map(|stream| (Lane::CtbTb { stream }, spec))
+            .chain([(Lane::ConsTb, wide_spec), (Lane::Direct, wide_spec)]);
+        for (lane, spec) in lanes {
+            let (a, b) = (self.host_of(from), self.host_of(to));
+            self.transport.open_link(fabric, lane.id(), from as u32, to as u32, a, b, spec);
+        }
+    }
+
+    /// Opens (or re-opens) both lanes between client node `c_node` and
+    /// replica `r`.
+    fn open_client_links(&mut self, fabric: &mut Fabric, cfg: &SimConfig, c_node: usize, r: usize) {
+        let spec = ChannelSpec { slots: 64, slot_payload: cfg.slot_payload() };
+        for (lane, from, to) in [(Lane::ClientReq, c_node, r), (Lane::ClientResp, r, c_node)] {
+            let (a, b) = (self.host_of(from), self.host_of(to));
+            self.transport.open_link(fabric, lane.id(), from as u32, to as u32, a, b, spec);
         }
     }
 
@@ -519,802 +251,46 @@ impl GroupRuntime {
         sh.events.push(at, (self.gid, ev));
     }
 
-    /// The Byzantine behaviour of host `r` active at `at`, if `r` is a
-    /// replica with a scheduled fault.
-    fn byz_mode(&self, r: usize, at: Time) -> Option<ByzantineMode> {
-        if r < self.n() {
-            self.cfg.failures.byzantine_mode(r, at)
-        } else {
-            None
-        }
-    }
-
-    /// Applies scheduled replica crashes up to virtual time `t`. O(1) when
-    /// nothing is pending, which is every event of a failure-free run.
-    pub(crate) fn apply_scheduled_crashes(&mut self, t: Time) {
-        if self.pending_crashes == 0 {
-            return;
-        }
-        for r in 0..self.nodes.len() {
-            if let Some(ct) = self.crash_times[r] {
-                if t >= ct {
-                    self.nodes[r].crashed = true;
-                    self.crash_times[r] = None;
-                    self.pending_crashes -= 1;
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Replacement & state transfer (uBFT extended version, §replacement)
-    // ------------------------------------------------------------------
-
-    /// Restores replica `r`'s application to the certified state at
-    /// `base`, served from any live peer's retained checkpoint snapshot
-    /// and verified against the certified `app_digest` — the donor is not
-    /// trusted. Models the transfer as a bulk fabric fetch: the receiving
-    /// core is busy for the bytes' worst-case wire time.
-    fn state_transfer(
+    fn channel_send(
         &mut self,
         sh: &mut Shared<'_>,
-        r: usize,
-        base: Slot,
-        app_digest: ubft_crypto::Digest,
-        exec_digest: ubft_crypto::Digest,
+        lane: Lane,
+        from: usize,
+        to: usize,
+        bytes: Vec<u8>,
         at: Time,
     ) {
-        if base == Slot(0) {
-            return; // genesis: the replacement already boots with it
-        }
-        let matches = |s: &crate::node::Snapshot| {
-            s.base == base
-                && s.app_digest == app_digest
-                && ubft_core::msg::exec_table_digest(&s.exec_table) == exec_digest
-        };
-        let donor = (0..self.nodes.len()).find(|q| {
-            *q != r && !self.nodes[*q].crashed && self.nodes[*q].snapshots.iter().any(matches)
-        });
-        let Some(q) = donor else {
-            // No donor (possible only when snapshots are not retained, or
-            // after extreme lag): fall back to the historical fast-forward
-            // and surface the divergence risk in diagnostics.
-            self.note_transfer_miss(sh, r);
-            return;
-        };
-        let (bytes, table) = self.nodes[q]
-            .snapshots
-            .iter()
-            .find(|s| matches(s))
-            .map(|s| (s.app_bytes.clone(), s.exec_table.clone()))
-            .expect("donor just matched");
-        let cost = self.cfg.latency.worst_case(bytes.len());
-        self.nodes[r].app.restore_bytes(&bytes);
-        // The donor is untrusted: the restored state must hash to the
-        // *certified* digest, or the transfer is treated as missed (the
-        // next checkpoint retries from another donor).
-        if self.nodes[r].app.snapshot_digest() != app_digest {
-            self.note_transfer_miss(sh, r);
-            return;
-        }
-        // A successful transfer puts the replica back on certified state:
-        // the auditor can vouch for it again even if an earlier transfer
-        // missed.
-        if let Some(aud) = sh.audit.as_mut() {
-            aud.on_transfer_restored(self.gid as usize, r);
-        }
-        let _ = self.charge(r, at, cost);
-        // Hand the certified dedup table to the engine (it re-verifies
-        // against the checkpoint's exec_digest and prunes bookkeeping the
-        // table proves executed).
-        self.engine_call(sh, r, at, |e| e.on_exec_table(base, table));
+        let rep = self.transport.send(sh.fabric, lane.id(), from as u32, to as u32, &bytes, at);
+        self.schedule_send_report(sh, lane, from, to, at, rep);
     }
 
-    /// Records a state transfer that found no (verifiable) donor snapshot:
-    /// diagnostics surface the divergence risk, and the auditor stops
-    /// vouching for that replica's application state.
-    fn note_transfer_miss(&mut self, sh: &mut Shared<'_>, r: usize) {
-        self.transfer_misses += 1;
-        if let Some(aud) = sh.audit.as_mut() {
-            aud.on_transfer_miss(self.gid as usize, r);
-        }
-    }
-
-    /// Boots the replacement node for crashed replica `r` on the freshly
-    /// allocated `new_host`: rebuilds every transport endpoint touching
-    /// `r`, re-keys `r`'s SWMR bank writers, scans its own stream's bank
-    /// tails on the memory nodes for the slow-path high-water mark, and
-    /// starts a fresh engine in the join state. Peers' endpoints toward
-    /// `r` are re-created here too — in a real deployment that retargeting
-    /// is what their `Join` receipt triggers; the simulator, owning both
-    /// ends, performs it at boot so the handshake finds working lanes.
-    pub(crate) fn replace_replica(
-        &mut self,
+    /// Turns a [`SendReport`](ubft_transport::net::SendReport) into
+    /// virtual-time events: a receiver poll per issued arrival, and a
+    /// flush when data stayed staged.
+    fn schedule_send_report(
+        &self,
         sh: &mut Shared<'_>,
-        r: usize,
-        new_host: HostId,
+        lane: Lane,
+        from: usize,
+        to: usize,
         at: Time,
+        rep: ubft_transport::net::SendReport,
     ) {
-        assert!(self.nodes[r].crashed, "replacement of a live replica {r}");
-        let n = self.n();
-        let n_clients = self.n_clients();
-        self.hosts[r] = new_host;
-        if let Some(aud) = sh.audit.as_mut() {
-            aud.on_replace(self.gid as usize, r);
+        for arrival in rep.arrivals {
+            self.push(sh, arrival + self.poll_pickup, Ev::Poll { lane, from, to });
         }
-
-        // Fresh links for every lane touching r, in both directions (the
-        // old node's sender cursors and in-flight slots died with it).
-        // Re-opening a link drops the old endpoints.
-        let cap = 2 * self.cfg.params.tail;
-        let spec = ChannelSpec { slots: cap, slot_payload: self.cfg.slot_payload() };
-        let wide_spec = ChannelSpec { slots: cap, slot_payload: self.cfg.wide_slot_payload() };
-        let client_spec = ChannelSpec { slots: 64, slot_payload: self.cfg.slot_payload() };
-        for peer in 0..n {
-            if peer == r {
-                continue;
-            }
-            for (from, to) in [(r, peer), (peer, r)] {
-                for s in 0..n {
-                    self.transport.open_link(
-                        sh.fabric,
-                        Lane::CtbTb { stream: s }.id(),
-                        from as u32,
-                        to as u32,
-                        self.host_of(from),
-                        self.host_of(to),
-                        spec,
-                    );
-                }
-                for lane in [Lane::ConsTb, Lane::Direct] {
-                    self.transport.open_link(
-                        sh.fabric,
-                        lane.id(),
-                        from as u32,
-                        to as u32,
-                        self.host_of(from),
-                        self.host_of(to),
-                        wide_spec,
-                    );
-                }
-            }
-        }
-        for c in 0..n_clients {
-            let c_node = self.client_node(c);
-            self.transport.open_link(
-                sh.fabric,
-                Lane::ClientReq.id(),
-                c_node as u32,
-                r as u32,
-                self.host_of(c_node),
-                new_host,
-                client_spec,
-            );
-            self.transport.open_link(
-                sh.fabric,
-                Lane::ClientResp.id(),
-                r as u32,
-                c_node as u32,
-                new_host,
-                self.host_of(c_node),
-                client_spec,
-            );
-        }
-
-        // Peers' TB receivers for r's lanes start over: the replacement's
-        // broadcasters number their frames from 1 again (transport seq
-        // and CTBcast ids are independent; the CTBcast ids are adopted).
-        for peer in 0..n {
-            if peer == r {
-                continue;
-            }
-            for s in 0..n {
-                self.nodes[peer].ctb_rx[s][r] = TailReceiver::new(ReplicaId(r as u32), cap);
-            }
-            self.nodes[peer].cons_rx[r] = TailReceiver::new(ReplicaId(r as u32), cap);
-        }
-
-        // The fresh node itself: new engine, new CTBcast stack, new TB
-        // endpoints, re-keyed bank writers, genesis application state.
-        let replica_ids: Vec<ReplicaId> = self.cfg.params.replicas().collect();
-        let peers_of = |r: usize| -> Vec<ReplicaId> {
-            (0..n as u32).map(ReplicaId).filter(|x| x.0 as usize != r).collect()
-        };
-        let ctb_cfg_for = |_s: usize| match self.cfg.path {
-            PathMode::FastOnly => CtbConfig {
-                n,
-                tail: self.cfg.params.tail,
-                fast_enabled: true,
-                slow: SlowMode::Never,
-            },
-            PathMode::SlowOnly => CtbConfig {
-                n,
-                tail: self.cfg.params.tail,
-                fast_enabled: false,
-                slow: SlowMode::Always,
-            },
-            PathMode::FastWithFallback => CtbConfig::deployed(n, self.cfg.params.tail),
-        };
-        let node = &mut self.nodes[r];
-        node.engine =
-            Engine::new(ReplicaId(r as u32), engine_config(&self.cfg, r), self.ring.clone());
-        node.ctbs = (0..n)
-            .map(|s| {
-                Ctb::new(
-                    ReplicaId(r as u32),
-                    ReplicaId(s as u32),
-                    replica_ids.clone(),
-                    ctb_cfg_for(s),
-                )
-            })
-            .collect();
-        node.ctb_tx =
-            (0..n).map(|_s| TailBroadcaster::new(ReplicaId(r as u32), peers_of(r), cap)).collect();
-        node.ctb_rx = (0..n)
-            .map(|_s| {
-                (0..n).map(|sender| TailReceiver::new(ReplicaId(sender as u32), cap)).collect()
-            })
-            .collect();
-        node.cons_tx = TailBroadcaster::new(ReplicaId(r as u32), peers_of(r), cap);
-        node.cons_rx = (0..n).map(|s| TailReceiver::new(ReplicaId(s as u32), cap)).collect();
-        node.reg_writers = (0..n).map(|s| self.reg_banks[s][r].rekey_writer()).collect();
-        node.app.restore_bytes(&self.genesis_snapshot);
-        node.snapshots.clear();
-        node.busy = at;
-        node.crypto_busy = at;
-        node.crashed = false;
-        node.epoch += 1;
-        node.deferred_fx = 0;
-        node.deferred_until = Time::ZERO;
-        node.summary_stall_ticks = 0;
-        node.reply_cache.clear();
-
-        // Step 1 of the join: recover the own-stream tail high-water mark
-        // directly from the memory nodes (no replica trusted) — every
-        // owner's bank of stream r can witness ids the crashed node
-        // slow-pathed.
-        let mut reg_floor = SeqId(0);
-        let mut done = at;
-        for owner in 0..n {
-            let reader = &self.reg_readers[r][owner];
-            self.counters.reg_reads += reader.len() as u64;
-            let scan = reader.scan_tail(sh.fabric, new_host, at);
-            if let Some(ts) = scan.max_ts {
-                reg_floor = reg_floor.max(SeqId(ts));
-            }
-            done = done.max(scan.completion);
-        }
-        self.nodes[r].busy = done;
-
-        // Step 2: the Join/JoinAck handshake (engine-driven from here).
-        let fx = self.nodes[r].engine.begin_join(reg_floor);
-        let ops = self.nodes[r].engine.take_crypto_ops();
-        self.apply_engine_effects(sh, r, done, fx, ops);
-    }
-
-    // ------------------------------------------------------------------
-    // Observers
-    // ------------------------------------------------------------------
-
-    /// The application state digest of replica `r`.
-    pub(crate) fn app_digest(&self, r: usize) -> ubft_crypto::Digest {
-        self.nodes[r].app.snapshot_digest()
-    }
-
-    /// First slot replica `r` has not executed.
-    pub(crate) fn exec_next(&self, r: usize) -> ubft_types::Slot {
-        self.nodes[r].engine.exec_next()
-    }
-
-    /// The view replica `r` is in.
-    pub(crate) fn view_of(&self, r: usize) -> View {
-        self.nodes[r].engine.view()
-    }
-
-    /// Individual requests replica `r` has decided.
-    pub(crate) fn decided_of(&self, r: usize) -> u64 {
-        self.nodes[r].engine.decided_count()
-    }
-
-    /// Resident entries in replica `r`'s request-dedup table (bounded by
-    /// [`SimConfig::client_cache_cap`]; tests assert eviction kicked in).
-    pub(crate) fn dedup_entries(&self, r: usize) -> usize {
-        self.nodes[r].engine.exec_table().len()
-    }
-
-    /// Every non-noop request replica `r` executed, in execution order
-    /// (the backend-equivalence suite compares this against the threaded
-    /// runtime's per-replica log).
-    pub(crate) fn exec_log(&self, r: usize) -> &[(ClientId, u64)] {
-        &self.nodes[r].exec_log
-    }
-
-    /// Final views of every replica, in replica order.
-    pub(crate) fn views(&self) -> Vec<View> {
-        self.nodes.iter().map(|nd| nd.engine.view()).collect()
-    }
-
-    /// Disaggregated bytes this group's register banks occupy on one
-    /// memory node.
-    pub(crate) fn disagg_bytes_per_node(&self) -> usize {
-        self.reg_banks_bytes_per_node
-    }
-
-    /// Bytes replica `r` retains in checkpoint snapshots for serving
-    /// replacement-node state transfers (zero unless replacements are
-    /// planned).
-    pub(crate) fn replica_snapshot_bytes(&self, r: usize) -> usize {
-        self.nodes[r].snapshot_bytes()
-    }
-
-    /// Checkpoint snapshots replica `r` currently retains (the auditor
-    /// checks the count against its cap).
-    pub(crate) fn snapshot_count(&self, r: usize) -> usize {
-        self.nodes[r].snapshots.len()
-    }
-
-    /// Approximate replica-local resident bytes of replica `r`: channel
-    /// buffers it hosts, sender mirrors/staging, TB retransmission
-    /// buffers, and CTBcast bookkeeping (Table 2).
-    pub(crate) fn replica_local_bytes(&self, r: usize) -> usize {
-        self.transport.resident_bytes_touching(r as u32) + self.nodes[r].protocol_resident_bytes()
-    }
-
-    /// Per-replica protocol diagnostics, one line each.
-    pub(crate) fn diag_lines(&self) -> String {
-        let mut s: String = self
-            .nodes
-            .iter()
-            .map(|nd| {
-                let ctb: Vec<String> = (0..self.n())
-                    .map(|st| {
-                        format!(
-                            "s{}:dlv{}/fifo{}",
-                            st,
-                            nd.ctbs[st].max_delivered().0,
-                            nd.engine.fifo_position(ReplicaId(st as u32)).0,
-                        )
-                    })
-                    .collect();
-                format!("  {} crashed={} [{}]\n", nd.engine.diag(), nd.crashed, ctb.join(" "))
-            })
-            .collect();
-        for (detector, culprit, why) in &self.byz_reports {
-            s.push_str(&format!("  r{detector} branded r{culprit} byzantine: {why}\n"));
-        }
-        if self.transfer_misses > 0 {
-            s.push_str(&format!(
-                "  {} state transfer(s) found no donor snapshot (state may have diverged)\n",
-                self.transfer_misses
-            ));
-        }
-        s
-    }
-
-    // ------------------------------------------------------------------
-    // Cost charging
-    // ------------------------------------------------------------------
-
-    fn charge(&mut self, r: usize, at: Time, extra: Duration) -> Time {
-        let dispatch = self.cfg.cost.dispatch;
-        let node = &mut self.nodes[r];
-        let start = if at > node.busy { at } else { node.busy };
-        let done = start + dispatch + extra;
-        node.busy = done;
-        done
-    }
-
-    fn crypto_cost(&self, ops: CryptoOps) -> Duration {
-        Duration::from_nanos(
-            self.cfg.cost.sign_total().as_nanos() * ops.signs as u64
-                + self.cfg.cost.verify_total().as_nanos() * ops.verifies as u64,
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // Engine plumbing
-    // ------------------------------------------------------------------
-
-    fn engine_call(
-        &mut self,
-        sh: &mut Shared<'_>,
-        r: usize,
-        at: Time,
-        f: impl FnOnce(&mut Engine) -> Vec<Effect>,
-    ) {
-        if self.nodes[r].crashed {
-            return;
-        }
-        let fx = f(&mut self.nodes[r].engine);
-        let ops = self.nodes[r].engine.take_crypto_ops();
-        self.apply_engine_effects(sh, r, at, fx, ops);
-    }
-
-    fn apply_engine_effects(
-        &mut self,
-        sh: &mut Shared<'_>,
-        r: usize,
-        at: Time,
-        fx: Vec<Effect>,
-        ops: CryptoOps,
-    ) {
-        // Hand freshly recorded decisions to the auditor *before* their
-        // Execute effects run, so coverage lookups find the evidence. The
-        // engine records nothing unless auditing is on.
-        if let Some(aud) = sh.audit.as_mut() {
-            for rec in self.nodes[r].engine.take_decisions() {
-                aud.on_decision(self.gid as usize, r, rec);
-            }
-        }
-        self.counters.engine_signs += ops.signs as u64;
-        self.counters.engine_verifies += ops.verifies as u64;
-        // The event-loop dispatch runs on the replica's main core; crypto is
-        // handed to the replica's crypto worker (§5.4 keeps bookkeeping
-        // signatures off the critical path), so it delays this call's
-        // *effects* without blocking subsequent message processing.
-        let done = self.charge(r, at, Duration::ZERO);
-        if ops.is_zero() && self.nodes[r].deferred_fx == 0 {
-            // The common (crypto-free) path applies effects inline — the
-            // historical behaviour, bit-for-bit.
-            for e in fx {
-                self.engine_effect(sh, r, done, e);
-            }
-            return;
-        }
-        // Crypto pushes this batch's effects into the future; route them
-        // through the event queue so the fabric only ever sees monotone
-        // timestamps per host pair (applying early would stall every later
-        // message behind the future arrival in the FIFO network). While any
-        // batch is pending, later batches — crypto-free or not — queue
-        // strictly behind it: the engine's emission order is a protocol
-        // invariant (e.g. a checkpoint must precede proposals into the
-        // window it opens).
-        let effect_at = if ops.is_zero() {
-            done
-        } else {
-            let cost = self.crypto_cost(ops);
-            let node = &mut self.nodes[r];
-            let start = if done > node.crypto_busy { done } else { node.crypto_busy };
-            let fin = start + cost;
-            node.crypto_busy = fin;
-            fin
-        };
-        let node = &mut self.nodes[r];
-        let at_eff = if effect_at > node.deferred_until {
-            effect_at
-        } else {
-            node.deferred_until + Duration::from_nanos(1)
-        };
-        node.deferred_until = at_eff;
-        node.deferred_fx += 1;
-        let epoch = node.epoch;
-        sh.events.push(at_eff, (self.gid, Ev::EngineFx { r, epoch, fx }));
-    }
-
-    /// A deferred engine-effect batch's crypto completed: apply it now.
-    fn on_engine_fx(
-        &mut self,
-        sh: &mut Shared<'_>,
-        r: usize,
-        epoch: u32,
-        fx: Vec<Effect>,
-        at: Time,
-    ) {
-        let node = &mut self.nodes[r];
-        if epoch != node.epoch {
-            return; // scheduled by a dead incarnation
-        }
-        node.deferred_fx = node.deferred_fx.saturating_sub(1);
-        if node.crashed {
-            return; // the node died with its crypto queue
-        }
-        for e in fx {
-            self.engine_effect(sh, r, at, e);
+        if let Some(t) = rep.flush_at {
+            let t = if t > at { t } else { at + Duration::from_nanos(1) };
+            self.push(sh, t, Ev::Flush { lane, from, to });
         }
     }
 
-    fn engine_effect(&mut self, sh: &mut Shared<'_>, r: usize, at: Time, e: Effect) {
-        match e {
-            Effect::CtbBroadcast(msg) => {
-                let bytes = msg.to_bytes();
-                let (_k, cfx) = self.nodes[r].ctbs[r].broadcast(bytes);
-                for ce in cfx {
-                    self.ctb_effect(sh, r, r, at, ce);
-                }
-            }
-            Effect::TbBroadcast(msg) => {
-                let bytes = msg.to_bytes();
-                let (_k, tfx) = self.nodes[r].cons_tx.broadcast(bytes);
-                self.handle_tb_effects(sh, r, Lane::ConsTb, at, tfx);
-            }
-            Effect::SendReplica { to, msg } => {
-                self.counters.direct_msgs += 1;
-                self.channel_send(sh, Lane::Direct, r, to.0 as usize, msg.to_bytes(), at);
-            }
-            Effect::Execute { slot, req } => {
-                // Auditor self-test mutations: deliberately corrupt this
-                // replica's execution so the auditor can be shown to catch
-                // it. Never active outside mutation tests.
-                let corrupted = match self.cfg.audit_mutation {
-                    Some(AuditMutation::CorruptExecution { replica })
-                        if replica == r && !req.payload.is_empty() =>
-                    {
-                        let mut p = req.payload.clone();
-                        p[0] ^= 0xFF;
-                        Some(p)
-                    }
-                    _ => None,
-                };
-                let applied: &[u8] = corrupted.as_deref().unwrap_or(&req.payload);
-                let cost = self.nodes[r].app.execute_cost(applied);
-                let payload = self.nodes[r].app.execute(applied);
-                if let Some(AuditMutation::DoubleExecute { replica }) = self.cfg.audit_mutation {
-                    if replica == r {
-                        let _ = self.nodes[r].app.execute(applied);
-                    }
-                }
-                if let Some(aud) = sh.audit.as_mut() {
-                    aud.on_execute(self.gid as usize, r, slot, req.id, applied, &payload);
-                }
-                let done = self.charge(r, at, cost);
-                if !req.is_noop() {
-                    self.nodes[r].exec_log.push((req.id.client, req.id.seq));
-                }
-                if !req.is_noop() && (req.id.client.0 as usize) < self.clients.len() {
-                    let reply = Reply { id: req.id, replica: ReplicaId(r as u32), payload };
-                    // Last-reply table (one entry per client, LRU-bounded
-                    // when capped), so a retransmitted already-executed
-                    // request can be re-answered.
-                    let _ =
-                        self.nodes[r].reply_cache.insert(req.id.client, reply.clone(), |_| false);
-                    let c_node = self.client_node(req.id.client.0 as usize);
-                    self.counters.rpc_msgs += 1;
-                    self.channel_send(sh, Lane::ClientResp, r, c_node, reply.to_bytes(), done);
-                }
-            }
-            Effect::RequestSnapshot { base } => {
-                let digest = self.nodes[r].app.snapshot_digest();
-                if let Some(aud) = sh.audit.as_mut() {
-                    aud.on_checkpoint_digest(self.gid as usize, r, base, digest);
-                }
-                // The dedup table is captured at the same instant as the
-                // application digest, so the certified checkpoint covers
-                // the *whole* decision-relevant state.
-                let table = self.nodes[r].engine.exec_table();
-                let exec_digest = ubft_core::msg::exec_table_digest(&table);
-                if self.keep_snapshots {
-                    // Retain the serialized state for serving lagging
-                    // replicas' transfers (bounded history).
-                    let app_bytes = self.nodes[r].app.snapshot_bytes();
-                    let node = &mut self.nodes[r];
-                    node.snapshots.push(crate::node::Snapshot {
-                        base,
-                        app_digest: digest,
-                        app_bytes,
-                        exec_table: table,
-                    });
-                    if node.snapshots.len() > SNAPSHOT_RETAIN {
-                        node.snapshots.remove(0);
-                    }
-                }
-                self.engine_call(sh, r, at, |e| e.on_snapshot(base, digest, exec_digest));
-            }
-            Effect::StateTransfer { base, app_digest, exec_digest } => {
-                self.state_transfer(sh, r, base, app_digest, exec_digest, at);
-            }
-            Effect::AdoptStreams { tails } => {
-                for (stream, next) in tails {
-                    self.nodes[r].ctbs[stream.0 as usize].adopt_tail(next);
-                }
-            }
-            Effect::ArmTimer { kind } => {
-                let after = match kind {
-                    TimerKind::Progress => {
-                        // PBFT-style backoff: fruitless view changes double
-                        // the watchdog period so slow view changes complete.
-                        self.cfg.progress_timeout
-                            * u64::from(self.nodes[r].engine.progress_backoff())
-                    }
-                    TimerKind::SlotSlowTrigger(_) => self.cfg.slow_trigger,
-                    TimerKind::EchoFallback(_) => self.cfg.echo_fallback,
-                };
-                self.push(sh, at + after, Ev::Timer { r, kind });
-            }
-            Effect::ByzantineDetected { replica, reason } => {
-                self.byz_reports.push((r, replica.0, reason));
-            }
-            Effect::CheckpointAdopted { base } => {
-                if let Some(aud) = sh.audit.as_mut() {
-                    aud.on_checkpoint_adopted(self.gid as usize, r, base);
-                }
-            }
-            Effect::ViewChanged { .. } => {}
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // CTBcast plumbing
-    // ------------------------------------------------------------------
-
-    fn ctb_call(
-        &mut self,
-        sh: &mut Shared<'_>,
-        r: usize,
-        stream: usize,
-        at: Time,
-        f: impl FnOnce(&mut Ctb) -> Vec<CtbEffect>,
-    ) {
-        if self.nodes[r].crashed {
-            return;
-        }
-        let fx = f(&mut self.nodes[r].ctbs[stream]);
-        let done = self.charge(r, at, Duration::ZERO);
-        for e in fx {
-            self.ctb_effect(sh, r, stream, done, e);
-        }
-    }
-
-    fn ctb_effect(&mut self, sh: &mut Shared<'_>, r: usize, stream: usize, at: Time, e: CtbEffect) {
-        match e {
-            CtbEffect::Broadcast(wire) => {
-                if stream == r
-                    && self.byz_mode(r, at) == Some(ByzantineMode::EquivocateProposals)
-                    && self.equivocate_broadcast(sh, r, at, &wire)
-                {
-                    return;
-                }
-                let bytes = wire.to_bytes();
-                let (_k, tfx) = self.nodes[r].ctb_tx[stream].broadcast(bytes);
-                self.handle_tb_effects(sh, r, Lane::CtbTb { stream }, at, tfx);
-            }
-            CtbEffect::Sign { k, fp } => {
-                self.counters.ctb_signs += 1;
-                let signer = self
-                    .ring
-                    .signer(ProcessId::Replica(ReplicaId(stream as u32)))
-                    .expect("replica key");
-                let sig = signer.sign(&signed_bytes(ReplicaId(stream as u32), k, &fp));
-                self.push(sh, at + self.cfg.cost.sign_total(), Ev::CtbSignDone { r, k, sig });
-            }
-            CtbEffect::Verify { tag, k, fp, sig } => {
-                self.counters.ctb_verifies += 1;
-                let ok = self.ring.verify(
-                    ProcessId::Replica(ReplicaId(stream as u32)),
-                    &signed_bytes(ReplicaId(stream as u32), k, &fp),
-                    &sig,
-                );
-                self.push(
-                    sh,
-                    at + self.cfg.cost.verify_total(),
-                    Ev::CtbVerifyDone { r, stream, tag, ok },
-                );
-            }
-            CtbEffect::WriteRegister { slot, k, entry } => {
-                self.counters.reg_writes += 1;
-                let host = self.host_of(r);
-                let mut entry = entry;
-                // A register-corrupting replica stores a garbled fingerprint
-                // in its own SWMR slot. Readers must treat the entry as a
-                // suspect, fail its signature check, and deliver anyway
-                // (§6.1: forged entries cannot block delivery).
-                if self.byz_mode(r, at) == Some(ByzantineMode::CorruptRegisters) {
-                    let mut fp = *entry.fp.as_bytes();
-                    fp[0] ^= 0xFF;
-                    fp[31] ^= 0xFF;
-                    entry.fp = ubft_crypto::Digest::from_bytes(fp);
-                }
-                let bytes = entry.to_bytes();
-                let outcome = self.nodes[r].reg_writers[stream].write(
-                    sh.fabric,
-                    host,
-                    RegisterId(slot),
-                    k.0,
-                    &bytes,
-                    at,
-                );
-                match outcome {
-                    WriteOutcome::Done(done) => {
-                        self.push(sh, done, Ev::CtbWritten { r, stream, k });
-                    }
-                    // The writer died at a crash boundary (possibly via the
-                    // δ-cooldown deferring the start past its own crash):
-                    // its continuation events are dropped by the crash
-                    // checks, so there is nothing to schedule.
-                    WriteOutcome::IssuerCrashed => {}
-                    // Outside the fault model (> f_m memory nodes down);
-                    // the slow path simply cannot complete.
-                    WriteOutcome::NoQuorum => {}
-                }
-            }
-            CtbEffect::ReadSlot { slot, k } => {
-                self.counters.reg_reads += 1;
-                let (entries, completion) = self.read_register_slot(sh, r, stream, slot, at);
-                self.push(sh, completion, Ev::CtbReadDone { r, stream, k, entries });
-            }
-            CtbEffect::Deliver { k, payload } => match CtbMsg::from_bytes(&payload) {
-                Ok(msg) => {
-                    let s = ReplicaId(stream as u32);
-                    self.engine_call(sh, r, at, |e| e.on_ctb_deliver(s, k, msg));
-                }
-                Err(_) => {
-                    let s = ReplicaId(stream as u32);
-                    self.engine_call(sh, r, at, |e| e.on_ctb_equivocation(s, k));
-                }
-            },
-            CtbEffect::Equivocation { k } => {
-                let s = ReplicaId(stream as u32);
-                self.engine_call(sh, r, at, |e| e.on_ctb_equivocation(s, k));
-            }
-            CtbEffect::ArmSlowTimer { k } => {
-                self.push(sh, at + self.cfg.slow_trigger, Ev::CtbSlow { r, k });
-            }
-        }
-    }
-
-    /// Byzantine equivocation: the broadcaster of stream `r` sends
-    /// *different* proposals to different receivers under the same CTBcast
-    /// id — the exact attack CTBcast exists to stop. Returns `true` when the
-    /// frame was handled (it carried a fast-path `LOCK` of a `PREPARE`);
-    /// other frames fall through to the honest path so the Byzantine replica
-    /// still participates in the rest of the protocol.
-    fn equivocate_broadcast(
-        &mut self,
-        sh: &mut Shared<'_>,
-        r: usize,
-        at: Time,
-        wire: &CtbWire,
-    ) -> bool {
-        let CtbWire::Lock { m, .. } = wire else {
-            return false;
-        };
-        let Ok(CtbMsg::Prepare(prep)) = CtbMsg::from_bytes(m) else {
-            return false;
-        };
-        // Register the broadcast with the honest TailBroadcaster (sequence
-        // numbers, retransmission buffer, self-delivery) but discard its
-        // uniform sends; hand-craft a poisoned variant for odd receivers.
-        let (k, tfx) = self.nodes[r].ctb_tx[r].broadcast(wire.to_bytes());
-        let mut alt = prep.clone();
-        let mut reqs = alt.batch.requests().to_vec();
-        if reqs[0].payload.is_empty() {
-            reqs[0].payload.push(0xFF);
-        } else {
-            reqs[0].payload[0] ^= 0xFF;
-        }
-        alt.batch = ubft_core::msg::Batch::new(reqs);
-        let alt_wire = CtbWire::Lock { k, m: CtbMsg::Prepare(alt).to_bytes() };
-        for e in tfx {
-            match e {
-                TbEffect::SendTo { to, wire: tb } => {
-                    self.counters.ctb_msgs += 1;
-                    let poisoned = to.0 % 2 == 1;
-                    let frame = if poisoned {
-                        TbFrame::Data(TbWire { k: tb.k, payload: alt_wire.to_bytes() })
-                    } else {
-                        TbFrame::Data(tb)
-                    };
-                    self.channel_send(
-                        sh,
-                        Lane::CtbTb { stream: r },
-                        r,
-                        to.0 as usize,
-                        frame.to_bytes(),
-                        at,
-                    );
-                }
-                other => {
-                    self.handle_tb_effects(sh, r, Lane::CtbTb { stream: r }, at, vec![other]);
-                }
-            }
-        }
-        true
-    }
-
-    /// Reads every receiver's register for `slot` of `stream`, retrying once
-    /// per owner when a read overlaps a write (§6.1). Returns parsed entries
-    /// in replica order and the quorum completion time.
+    /// Reads every owner's register `slot` of `stream`'s bank for replica
+    /// `r`, retrying once per owner when a read overlaps a write (§6.1).
+    /// Returns parsed entries in replica order and the quorum completion
+    /// time.
     fn read_register_slot(
-        &mut self,
+        &self,
         sh: &mut Shared<'_>,
         r: usize,
         stream: usize,
@@ -1322,10 +298,10 @@ impl GroupRuntime {
         at: Time,
     ) -> (Vec<Option<RegEntry>>, Time) {
         let host = self.host_of(r);
-        let mut entries = Vec::with_capacity(self.n());
+        let readers = &self.reg_readers[stream];
+        let mut entries = Vec::with_capacity(readers.len());
         let mut completion = at;
-        for owner in 0..self.n() {
-            let reader = &self.reg_readers[stream][owner];
+        for reader in readers {
             let mut attempt_at = at;
             let mut parsed = None;
             for _attempt in 0..2 {
@@ -1355,90 +331,38 @@ impl GroupRuntime {
         }
         (entries, completion)
     }
+}
 
-    // ------------------------------------------------------------------
-    // TBcast + channel plumbing
-    // ------------------------------------------------------------------
+/// The virtual-time [`Host`] of replica `r`, borrowed for one event.
+struct SimHost<'a, 'b> {
+    cfg: &'a SimConfig,
+    net: &'a mut SimNet,
+    sh: &'a mut Shared<'b>,
+    r: usize,
+    /// The other replicas, split around `r` (donor lookups read their
+    /// crash flags).
+    before: &'a [ReplicaNode],
+    after: &'a [ReplicaNode],
+}
 
-    fn handle_tb_effects(
-        &mut self,
-        sh: &mut Shared<'_>,
-        r: usize,
-        lane: Lane,
-        at: Time,
-        fx: Vec<TbEffect>,
-    ) {
-        for e in fx {
-            match e {
-                TbEffect::SendTo { to, wire } => {
-                    match lane {
-                        Lane::CtbTb { .. } => self.counters.ctb_msgs += 1,
-                        Lane::ConsTb => self.counters.cons_msgs += 1,
-                        _ => {}
-                    }
-                    self.channel_send(
-                        sh,
-                        lane,
-                        r,
-                        to.0 as usize,
-                        TbFrame::Data(wire).to_bytes(),
-                        at,
-                    );
-                }
-                TbEffect::SendAck { to, upto } => {
-                    // Cumulative acks silence the broadcaster's
-                    // retransmission of the buffered tail (§4.2).
-                    self.channel_send(
-                        sh,
-                        lane,
-                        r,
-                        to.0 as usize,
-                        TbFrame::Ack(TbAck { upto }).to_bytes(),
-                        at,
-                    );
-                }
-                TbEffect::Deliver { from, k: _, payload } => {
-                    self.deliver_tb_payload(sh, r, lane, from, payload, at);
-                }
-            }
-        }
+impl SimHost<'_, '_> {
+    fn push(&mut self, at: Time, ev: Ev) {
+        self.net.push(self.sh, at, ev);
     }
 
-    fn deliver_tb_payload(
-        &mut self,
-        sh: &mut Shared<'_>,
-        r: usize,
-        lane: Lane,
-        from: ReplicaId,
-        payload: Vec<u8>,
-        at: Time,
-    ) {
-        match lane {
-            Lane::CtbTb { stream } => {
-                if let Ok(wire) = CtbWire::from_bytes(&payload) {
-                    self.ctb_call(sh, r, stream, at, |c| c.on_tb_deliver(from, wire));
-                }
-            }
-            Lane::ConsTb => {
-                if let Ok(msg) = TbMsg::from_bytes(&payload) {
-                    self.engine_call(sh, r, at, |e| e.on_tb_deliver(from, msg));
-                }
-            }
-            _ => {}
+    fn peer_crashed(&self, q: usize) -> bool {
+        if q < self.r {
+            self.before[q].crashed
+        } else {
+            self.after[q - self.r - 1].crashed
         }
     }
+}
 
-    fn channel_send(
-        &mut self,
-        sh: &mut Shared<'_>,
-        lane: Lane,
-        from: usize,
-        to: usize,
-        bytes: Vec<u8>,
-        at: Time,
-    ) {
+impl Host for SimHost<'_, '_> {
+    fn send(&mut self, lane: Lane, to: usize, bytes: Vec<u8>, at: Time) {
         let mut at = at;
-        match self.byz_mode(from, at) {
+        match self.byzantine(at) {
             // A silent replica stops transmitting entirely; it keeps
             // receiving, which is what distinguishes it from a crash in the
             // logs but not in effect.
@@ -1449,175 +373,616 @@ impl GroupRuntime {
             Some(ByzantineMode::Laggard) => at += Duration::from_micros(50),
             _ => {}
         }
-        let rep = self.transport.send(sh.fabric, lane.id(), from as u32, to as u32, &bytes, at);
-        self.schedule_send_report(sh, lane, from, to, at, rep);
+        self.net.channel_send(self.sh, lane, self.r, to, bytes, at);
     }
 
-    /// Turns a [`SendReport`](ubft_transport::net::SendReport) into
-    /// virtual-time events: a receiver poll per issued arrival, and a
-    /// flush when data stayed staged.
-    fn schedule_send_report(
+    fn arm(&mut self, timer: Timer, after: Duration, at: Time) {
+        let r = self.r;
+        self.push(at + after, Ev::Timer { r, timer });
+    }
+
+    fn sign(&mut self, stream: usize, k: SeqId, fp: Digest, at: Time) {
+        let id = ReplicaId(stream as u32);
+        let signer = self.net.ring.signer(ProcessId::Replica(id)).expect("replica key");
+        let sig = signer.sign(&signed_bytes(id, k, &fp));
+        let r = self.r;
+        self.push(at + self.cfg.cost.sign_total(), Ev::Done { r, done: Done::Signed { k, sig } });
+    }
+
+    fn verify(
+        &mut self,
+        stream: usize,
+        tag: VerifyTag,
+        k: SeqId,
+        fp: Digest,
+        sig: Signature,
+        at: Time,
+    ) {
+        let id = ReplicaId(stream as u32);
+        let ok = self.net.ring.verify(ProcessId::Replica(id), &signed_bytes(id, k, &fp), &sig);
+        let (r, done) = (self.r, Done::Verified { stream, tag, ok });
+        self.push(at + self.cfg.cost.verify_total(), Ev::Done { r, done });
+    }
+
+    fn write_register(&mut self, stream: usize, slot: usize, k: SeqId, bytes: Vec<u8>, at: Time) {
+        let r = self.r;
+        let host = self.net.host_of(r);
+        let writer = &mut self.net.reps[r].reg_writers[stream];
+        match writer.write(self.sh.fabric, host, RegisterId(slot), k.0, &bytes, at) {
+            WriteOutcome::Done(done) => {
+                self.push(done, Ev::Done { r, done: Done::Written { stream, k } });
+            }
+            // The writer died at a crash boundary (possibly via the
+            // δ-cooldown deferring the start past its own crash): its
+            // continuation events are dropped by the crash checks, so
+            // there is nothing to schedule.
+            WriteOutcome::IssuerCrashed => {}
+            // Outside the fault model (> f_m memory nodes down); the slow
+            // path simply cannot complete.
+            WriteOutcome::NoQuorum => {}
+        }
+    }
+
+    fn read_register(&mut self, stream: usize, slot: usize, k: SeqId, at: Time) {
+        let r = self.r;
+        let (entries, completion) = self.net.read_register_slot(self.sh, r, stream, slot, at);
+        self.push(completion, Ev::Done { r, done: Done::Read { stream, k, entries } });
+    }
+
+    fn charge(&mut self, at: Time, extra: Duration) -> Time {
+        let rep = &mut self.net.reps[self.r];
+        let start = if at > rep.busy { at } else { rep.busy };
+        rep.busy = start + self.cfg.cost.dispatch + extra;
+        rep.busy
+    }
+
+    fn engine_batch(
+        &mut self,
+        at: Time,
+        ops: CryptoOps,
+        fx: Vec<Effect>,
+    ) -> Option<(Time, Vec<Effect>)> {
+        // The event-loop dispatch runs on the replica's main core; crypto is
+        // handed to the replica's crypto worker (§5.4 keeps bookkeeping
+        // signatures off the critical path), so it delays this batch's
+        // *effects* without blocking subsequent message processing.
+        let done = self.charge(at, Duration::ZERO);
+        let r = self.r;
+        let rep = &mut self.net.reps[r];
+        if ops.is_zero() && rep.deferred_fx == 0 {
+            // The common (crypto-free) path applies effects inline.
+            return Some((done, fx));
+        }
+        // Crypto pushes this batch's effects into the future; route them
+        // through the event queue so the fabric only ever sees monotone
+        // timestamps per host pair (applying early would stall every later
+        // message behind the future arrival in the FIFO network). While any
+        // batch is pending, later batches — crypto-free or not — queue
+        // strictly behind it: the engine's emission order is a protocol
+        // invariant (e.g. a checkpoint must precede proposals into the
+        // window it opens).
+        let effect_at = if ops.is_zero() {
+            done
+        } else {
+            let cost = Duration::from_nanos(
+                self.cfg.cost.sign_total().as_nanos() * ops.signs as u64
+                    + self.cfg.cost.verify_total().as_nanos() * ops.verifies as u64,
+            );
+            let start = if done > rep.crypto_busy { done } else { rep.crypto_busy };
+            rep.crypto_busy = start + cost;
+            rep.crypto_busy
+        };
+        let at_eff = if effect_at > rep.deferred_until {
+            effect_at
+        } else {
+            rep.deferred_until + Duration::from_nanos(1)
+        };
+        rep.deferred_until = at_eff;
+        rep.deferred_fx += 1;
+        let epoch = rep.epoch;
+        self.push(at_eff, Ev::EngineFx { r, epoch, fx });
+        None
+    }
+
+    fn keeps_snapshots(&self) -> bool {
+        self.net.keep_snapshots
+    }
+
+    fn retain_snapshot(&mut self, snap: Snapshot) {
+        // Bounded history for serving lagging replicas' transfers.
+        let snapshots = &mut self.net.reps[self.r].snapshots;
+        snapshots.push(snap);
+        if snapshots.len() > SNAPSHOT_RETAIN {
+            snapshots.remove(0);
+        }
+    }
+
+    /// Any live peer's retained snapshot of the certified checkpoint. The
+    /// transfer is modelled as a bulk fabric fetch: the receiving core is
+    /// busy for the bytes' worst-case wire time.
+    fn fetch_snapshot(
+        &mut self,
+        base: Slot,
+        app_digest: Digest,
+        exec_digest: Digest,
+    ) -> Option<(Snapshot, Duration)> {
+        let matches = |s: &&Snapshot| {
+            s.base == base
+                && s.app_digest == app_digest
+                && ubft_core::msg::exec_table_digest(&s.exec_table) == exec_digest
+        };
+        let snap = (0..self.net.reps.len())
+            .filter(|&q| q != self.r && !self.peer_crashed(q))
+            .find_map(|q| self.net.reps[q].snapshots.iter().find(matches))?;
+        Some((snap.clone(), self.cfg.latency.worst_case(snap.app_bytes.len())))
+    }
+
+    fn byzantine(&self, at: Time) -> Option<ByzantineMode> {
+        self.cfg.failures.byzantine_mode(self.r, at)
+    }
+
+    fn audit_mutation(&self) -> Option<AuditMutation> {
+        self.cfg.audit_mutation
+    }
+
+    fn observe(&mut self, what: Observed<'_>) {
+        let Some(aud) = self.sh.audit.as_mut() else { return };
+        let (g, r) = (self.net.gid as usize, self.r);
+        match what {
+            Observed::Decision(rec) => aud.on_decision(g, r, rec),
+            Observed::Executed { slot, id, applied, response } => {
+                aud.on_execute(g, r, slot, id, applied, response)
+            }
+            Observed::CheckpointDigest { base, digest } => {
+                aud.on_checkpoint_digest(g, r, base, digest)
+            }
+            Observed::CheckpointAdopted { base } => aud.on_checkpoint_adopted(g, r, base),
+            Observed::TransferRestored => aud.on_transfer_restored(g, r),
+            Observed::TransferMissed => aud.on_transfer_miss(g, r),
+        }
+    }
+}
+
+/// One consensus group: `2f + 1` [`ReplicaNode`]s, their lanes, their
+/// partition of the register banks, and their closed-loop clients.
+pub(crate) struct GroupRuntime {
+    pub(crate) cfg: SimConfig,
+    pub(crate) nodes: Vec<ReplicaNode>,
+    net: SimNet,
+    /// `reg_banks[stream][owner]`: the SWMR banks themselves, retained so
+    /// a replacement node can be re-keyed as a bank's writer.
+    reg_banks: Vec<Vec<RegisterBank>>,
+    reg_banks_bytes_per_node: usize,
+    /// Serialized genesis application state, for resetting a replacement
+    /// node's app before its state transfer. Captured only when the fault
+    /// plan schedules faults.
+    genesis_snapshot: Vec<u8>,
+    clients: Vec<Client>,
+    issue_times: Vec<Time>,
+    /// Consecutive empty workload pulls per client, driving exponential
+    /// retry backoff so starved shards cannot flood the event queue.
+    idle_backoff: Vec<u32>,
+    workload: GroupWorkload,
+    /// Not-yet-applied scheduled crash times, one slot per replica
+    /// (precomputed from the fault plan so the hot event loop never
+    /// rescans it; an entry is cleared once the crash takes effect).
+    crash_times: Vec<Option<Time>>,
+    /// How many entries of `crash_times` are still pending.
+    pending_crashes: usize,
+    /// Client requests sent (the replicas count everything else).
+    client_msgs: u64,
+    pub(crate) latency: LatencyStats,
+    pub(crate) completed: u64,
+}
+
+impl GroupRuntime {
+    /// Builds one group inside an existing deployment: creates the replica
+    /// stacks, channels, and register banks on the shared fabric, and
+    /// pushes the group's start-up events (engine watchdogs, TBcast
+    /// retransmission ticks) onto the shared queue.
+    pub(crate) fn new(
+        gid: u32,
+        cfg: SimConfig,
+        host_base: u32,
+        mem_hosts: &[HostId],
+        apps: Vec<Box<dyn App>>,
+        workload: GroupWorkload,
+        sh: &mut Shared<'_>,
+    ) -> Self {
+        let n = cfg.params.n();
+        assert_eq!(apps.len(), n, "one app instance per replica");
+        let n_clients = cfg.n_clients.max(1);
+        let ring = key_ring(&cfg);
+
+        // Checkpoint snapshots are retained whenever the plan schedules
+        // *any* fault or an asynchronous prefix — not just replacements: a
+        // replica that misses a whole window behind a partition or pre-GST
+        // delays heals through the same certified state transfer, and
+        // without a retained donor snapshot it would silently fast-forward
+        // with diverged state (the chaos auditor caught exactly that).
+        // Failure-free runs still pay nothing.
+        let keep_snapshots = !cfg.failures.faults().is_empty() || cfg.failures.gst > Time::ZERO;
+        let genesis_snapshot = if keep_snapshots { apps[0].snapshot_bytes() } else { Vec::new() };
+
+        // Links, in the shared fabric, addressed by global host ids.
+        let mut net = SimNet {
+            gid,
+            host_base,
+            hosts: (0..n as u32).map(|r| HostId(host_base + r)).collect(),
+            transport: SimLinkTransport::new(),
+            reg_readers: Vec::with_capacity(n),
+            reps: Vec::with_capacity(n),
+            ring: ring.clone(),
+            poll_pickup: cfg.poll_pickup,
+            keep_snapshots,
+        };
+        for from in 0..n {
+            for to in (0..n).filter(|&to| to != from) {
+                net.open_replica_links(sh.fabric, &cfg, from, to);
+            }
+        }
+        for c in 0..n_clients {
+            for r in 0..n {
+                net.open_client_links(sh.fabric, &cfg, n + c, r);
+            }
+        }
+
+        // SWMR register banks: banks[stream][owner], replicated on the
+        // shared memory nodes; only `owner` holds the writer. Each group
+        // creates its own banks, so the memory nodes' space is partitioned
+        // per group. The banks themselves are retained (not just their
+        // endpoints): a replacement node is re-keyed as its predecessor's
+        // banks' writer.
+        let mut reg_banks: Vec<Vec<RegisterBank>> = Vec::with_capacity(n);
+        let mut bank_bytes = 0usize;
+        for _s in 0..n {
+            let mut banks = Vec::with_capacity(n);
+            let mut rs = Vec::with_capacity(n);
+            for _owner in 0..n {
+                let bank = RegisterBank::create(
+                    sh.fabric,
+                    mem_hosts,
+                    cfg.params.tail,
+                    RegEntry::encoded_size(),
+                    cfg.params.delta,
+                );
+                bank_bytes += bank.bytes_per_node();
+                rs.push(bank.reader());
+                banks.push(bank);
+            }
+            net.reg_readers.push(rs);
+            reg_banks.push(banks);
+        }
+        net.reps = (0..n)
+            .map(|owner| SimReplica {
+                busy: Time::ZERO,
+                crypto_busy: Time::ZERO,
+                deferred_fx: 0,
+                deferred_until: Time::ZERO,
+                epoch: 0,
+                reg_writers: (0..n).map(|s| reg_banks[s][owner].writer()).collect(),
+                snapshots: Vec::new(),
+            })
+            .collect();
+
+        let replica_ids: Vec<ReplicaId> = cfg.params.replicas().collect();
+        let clients: Vec<Client> = (0..n_clients as u32)
+            .map(|i| Client::new(ClientId(i), replica_ids.clone(), cfg.params.quorum()))
+            .collect();
+        let nodes: Vec<ReplicaNode> = apps
+            .into_iter()
+            .enumerate()
+            .map(|(r, app)| ReplicaNode::new(r, &cfg, ring.clone(), app))
+            .collect();
+        let crash_times: Vec<Option<Time>> =
+            (0..n).map(|r| cfg.failures.replica_crash_time(r)).collect();
+        let pending_crashes = crash_times.iter().filter(|t| t.is_some()).count();
+        let mut group = GroupRuntime {
+            nodes,
+            net,
+            reg_banks,
+            reg_banks_bytes_per_node: bank_bytes,
+            genesis_snapshot,
+            clients,
+            issue_times: vec![Time::ZERO; n_clients],
+            idle_backoff: vec![0; n_clients],
+            workload,
+            crash_times,
+            pending_crashes,
+            client_msgs: 0,
+            latency: LatencyStats::new(),
+            completed: 0,
+            cfg,
+        };
+        // Engine start-up (progress watchdogs).
+        for r in 0..n {
+            let (node, mut host) = group.replica(sh, r);
+            node.engine_call(&mut host, Time::ZERO, |e| e.start());
+        }
+        // TBcast retransmission ticks, staggered so replicas do not burst
+        // in lockstep.
+        for r in 0..n {
+            let offset = Duration::from_nanos(1_000 * (r as u64 + 1));
+            let at = Time::ZERO + group.cfg.retransmit_period + offset;
+            group.push(sh, at, Ev::Timer { r, timer: Timer::Retransmit });
+        }
+        group
+    }
+
+    /// Replica `r` and its host, borrowed for one event.
+    fn replica<'a, 'b>(
+        &'a mut self,
+        sh: &'a mut Shared<'b>,
+        r: usize,
+    ) -> (&'a mut ReplicaNode, SimHost<'a, 'b>) {
+        let (before, rest) = self.nodes.split_at_mut(r);
+        let (node, after) = rest.split_first_mut().expect("replica index");
+        (node, SimHost { cfg: &self.cfg, net: &mut self.net, sh, r, before, after })
+    }
+
+    fn n(&self) -> usize {
+        self.cfg.params.n()
+    }
+
+    pub(crate) fn n_clients(&self) -> usize {
+        self.clients.len()
+    }
+
+    fn client_node(&self, c: usize) -> usize {
+        self.n() + c
+    }
+
+    fn push(&self, sh: &mut Shared<'_>, at: Time, ev: Ev) {
+        self.net.push(sh, at, ev);
+    }
+
+    /// Applies scheduled replica crashes up to virtual time `t`. O(1) when
+    /// nothing is pending, which is every event of a failure-free run.
+    pub(crate) fn apply_scheduled_crashes(&mut self, t: Time) {
+        if self.pending_crashes == 0 {
+            return;
+        }
+        for r in 0..self.nodes.len() {
+            if let Some(ct) = self.crash_times[r] {
+                if t >= ct {
+                    self.nodes[r].crashed = true;
+                    self.crash_times[r] = None;
+                    self.pending_crashes -= 1;
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Replacement (uBFT extended version, §replacement)
+    // ------------------------------------------------------------------
+
+    /// Boots the replacement node for crashed replica `r` on the freshly
+    /// allocated `new_host`: rebuilds every transport endpoint touching
+    /// `r`, re-keys `r`'s SWMR bank writers, scans its own stream's bank
+    /// tails on the memory nodes for the slow-path high-water mark, and
+    /// starts a fresh engine in the join state. Peers' endpoints toward
+    /// `r` are re-created here too — in a real deployment that retargeting
+    /// is what their `Join` receipt triggers; the simulator, owning both
+    /// ends, performs it at boot so the handshake finds working lanes.
+    pub(crate) fn replace_replica(
         &mut self,
         sh: &mut Shared<'_>,
-        lane: Lane,
-        from: usize,
-        to: usize,
+        r: usize,
+        new_host: HostId,
         at: Time,
-        rep: ubft_transport::net::SendReport,
     ) {
-        for arrival in rep.arrivals {
-            sh.events.push(arrival + self.cfg.poll_pickup, (self.gid, Ev::Poll { lane, from, to }));
+        assert!(self.nodes[r].crashed, "replacement of a live replica {r}");
+        let n = self.n();
+        self.net.hosts[r] = new_host;
+        if let Some(aud) = sh.audit.as_mut() {
+            aud.on_replace(self.net.gid as usize, r);
         }
-        if let Some(t) = rep.flush_at {
-            let t = if t > at { t } else { at + Duration::from_nanos(1) };
-            sh.events.push(t, (self.gid, Ev::Flush { lane, from, to }));
+
+        // Fresh links for every lane touching r, in both directions (the
+        // old node's sender cursors and in-flight slots died with it).
+        for peer in (0..n).filter(|&peer| peer != r) {
+            self.net.open_replica_links(sh.fabric, &self.cfg, r, peer);
+            self.net.open_replica_links(sh.fabric, &self.cfg, peer, r);
         }
+        for c in 0..self.n_clients() {
+            self.net.open_client_links(sh.fabric, &self.cfg, self.client_node(c), r);
+        }
+
+        // Peers' TB receivers for r's lanes start over: the replacement's
+        // broadcasters number their frames from 1 again (transport seq
+        // and CTBcast ids are independent; the CTBcast ids are adopted).
+        let cap = 2 * self.cfg.params.tail;
+        for peer in (0..n).filter(|&peer| peer != r) {
+            let node = &mut self.nodes[peer];
+            for rx in &mut node.ctb_rx {
+                rx[r] = ubft_ctb::tbcast::TailReceiver::new(ReplicaId(r as u32), cap);
+            }
+            node.cons_rx[r] = ubft_ctb::tbcast::TailReceiver::new(ReplicaId(r as u32), cap);
+        }
+
+        // The fresh node itself: new stack, genesis application state,
+        // re-keyed bank writers, fresh cost cursors.
+        let old = self.nodes.remove(r);
+        let fresh = old.reboot(&self.cfg, self.net.ring.clone(), &self.genesis_snapshot);
+        self.nodes.insert(r, fresh);
+        let rep = &mut self.net.reps[r];
+        rep.reg_writers = (0..n).map(|s| self.reg_banks[s][r].rekey_writer()).collect();
+        rep.snapshots.clear();
+        rep.crypto_busy = at;
+        rep.epoch += 1;
+        rep.deferred_fx = 0;
+        rep.deferred_until = Time::ZERO;
+
+        // Step 1 of the join: recover the own-stream tail high-water mark
+        // directly from the memory nodes (no replica trusted) — every
+        // owner's bank of stream r can witness ids the crashed node
+        // slow-pathed.
+        let mut reg_floor = SeqId(0);
+        let mut done = at;
+        for reader in &self.net.reg_readers[r] {
+            self.nodes[r].counters.reg_reads += reader.len() as u64;
+            let scan = reader.scan_tail(sh.fabric, new_host, at);
+            if let Some(ts) = scan.max_ts {
+                reg_floor = reg_floor.max(SeqId(ts));
+            }
+            done = done.max(scan.completion);
+        }
+        self.net.reps[r].busy = done;
+
+        // Step 2: the Join/JoinAck handshake (engine-driven from here).
+        let (node, mut host) = self.replica(sh, r);
+        node.engine_call(&mut host, done, |e| e.begin_join(reg_floor));
     }
 
+    // ------------------------------------------------------------------
+    // Observers
+    // ------------------------------------------------------------------
+
+    /// The application state digest of replica `r`.
+    pub(crate) fn app_digest(&self, r: usize) -> Digest {
+        self.nodes[r].app.snapshot_digest()
+    }
+
+    /// First slot replica `r` has not executed.
+    pub(crate) fn exec_next(&self, r: usize) -> Slot {
+        self.nodes[r].engine.exec_next()
+    }
+
+    /// The view replica `r` is in.
+    pub(crate) fn view_of(&self, r: usize) -> View {
+        self.nodes[r].engine.view()
+    }
+
+    /// Individual requests replica `r` has decided.
+    pub(crate) fn decided_of(&self, r: usize) -> u64 {
+        self.nodes[r].engine.decided_count()
+    }
+
+    /// Resident entries in replica `r`'s request-dedup table (bounded by
+    /// [`SimConfig::client_cache_cap`]; tests assert eviction kicked in).
+    pub(crate) fn dedup_entries(&self, r: usize) -> usize {
+        self.nodes[r].engine.exec_table().len()
+    }
+
+    /// Final views of every replica, in replica order.
+    pub(crate) fn views(&self) -> Vec<View> {
+        self.nodes.iter().map(|nd| nd.engine.view()).collect()
+    }
+
+    /// Operation counts of the whole group.
+    pub(crate) fn counters(&self) -> OpCounters {
+        let mut total = OpCounters { rpc_msgs: self.client_msgs, ..OpCounters::default() };
+        for nd in &self.nodes {
+            total.merge(&nd.counters);
+        }
+        total
+    }
+
+    /// Disaggregated bytes this group's register banks occupy on one
+    /// memory node.
+    pub(crate) fn disagg_bytes_per_node(&self) -> usize {
+        self.reg_banks_bytes_per_node
+    }
+
+    /// Bytes replica `r` retains in checkpoint snapshots for serving
+    /// replacement-node state transfers (zero unless faults are planned).
+    pub(crate) fn replica_snapshot_bytes(&self, r: usize) -> usize {
+        self.net.reps[r].snapshots.iter().map(|s| s.app_bytes.len()).sum()
+    }
+
+    /// Checkpoint snapshots replica `r` currently retains (the auditor
+    /// checks the count against its cap).
+    pub(crate) fn snapshot_count(&self, r: usize) -> usize {
+        self.net.reps[r].snapshots.len()
+    }
+
+    /// Approximate replica-local resident bytes of replica `r`: channel
+    /// buffers it hosts, sender mirrors/staging, TB retransmission
+    /// buffers, and CTBcast bookkeeping (Table 2).
+    pub(crate) fn replica_local_bytes(&self, r: usize) -> usize {
+        self.net.transport.resident_bytes_touching(r as u32)
+            + self.nodes[r].protocol_resident_bytes()
+    }
+
+    /// Per-replica protocol diagnostics, one line each.
+    pub(crate) fn diag_lines(&self) -> String {
+        let mut s = String::new();
+        for nd in &self.nodes {
+            let ctb: Vec<String> = (0..self.n())
+                .map(|st| {
+                    format!(
+                        "s{}:dlv{}/fifo{}",
+                        st,
+                        nd.ctbs[st].max_delivered().0,
+                        nd.engine.fifo_position(ReplicaId(st as u32)).0,
+                    )
+                })
+                .collect();
+            s.push_str(&format!(
+                "  {} crashed={} [{}]\n",
+                nd.engine.diag(),
+                nd.crashed,
+                ctb.join(" ")
+            ));
+        }
+        for nd in &self.nodes {
+            for (culprit, why) in &nd.byz_reports {
+                s.push_str(&format!("  r{} branded r{culprit} byzantine: {why}\n", nd.r));
+            }
+        }
+        let misses: u64 = self.nodes.iter().map(|nd| nd.transfer_misses).sum();
+        if misses > 0 {
+            s.push_str(&format!(
+                "  {misses} state transfer(s) found no donor snapshot (state may have diverged)\n"
+            ));
+        }
+        s
+    }
+
+    // ------------------------------------------------------------------
+    // Lanes and clients
+    // ------------------------------------------------------------------
+
     fn on_flush(&mut self, sh: &mut Shared<'_>, lane: Lane, from: usize, to: usize, at: Time) {
-        let rep = self.transport.flush(sh.fabric, lane.id(), from as u32, to as u32, at);
-        self.schedule_send_report(sh, lane, from, to, at, rep);
+        let rep = self.net.transport.flush(sh.fabric, lane.id(), from as u32, to as u32, at);
+        self.net.schedule_send_report(sh, lane, from, to, at, rep);
     }
 
     fn on_poll(&mut self, sh: &mut Shared<'_>, lane: Lane, from: usize, to: usize, at: Time) {
         let out =
-            self.transport.recv_poll(sh.fabric, to as u32, Some((lane.id(), from as u32)), at);
+            self.net.transport.recv_poll(sh.fabric, to as u32, Some((lane.id(), from as u32)), at);
         if out.repoll {
-            sh.events.push(at + Duration::from_nanos(200), (self.gid, Ev::Poll { lane, from, to }));
+            self.push(sh, at + Duration::from_nanos(200), Ev::Poll { lane, from, to });
         }
         for inb in out.delivered {
-            self.dispatch_message(sh, lane, from, to, inb.payload, at);
-        }
-    }
-
-    fn dispatch_message(
-        &mut self,
-        sh: &mut Shared<'_>,
-        lane: Lane,
-        from: usize,
-        to: usize,
-        payload: Vec<u8>,
-        at: Time,
-    ) {
-        match lane {
-            Lane::CtbTb { stream } => match TbFrame::from_bytes(&payload) {
-                Ok(TbFrame::Data(wire)) => {
-                    let fx = self.nodes[to].ctb_rx[stream][from].on_wire(wire);
-                    self.handle_tb_effects(sh, to, lane, at, fx);
-                }
-                Ok(TbFrame::Ack(ack)) => {
-                    self.nodes[to].ctb_tx[stream].on_ack(ReplicaId(from as u32), ack.upto);
-                }
-                Err(_) => {}
-            },
-            Lane::ConsTb => match TbFrame::from_bytes(&payload) {
-                Ok(TbFrame::Data(wire)) => {
-                    let fx = self.nodes[to].cons_rx[from].on_wire(wire);
-                    self.handle_tb_effects(sh, to, lane, at, fx);
-                }
-                Ok(TbFrame::Ack(ack)) => {
-                    self.nodes[to].cons_tx.on_ack(ReplicaId(from as u32), ack.upto);
-                }
-                Err(_) => {}
-            },
-            Lane::Direct => {
-                if let Ok(msg) = DirectMsg::from_bytes(&payload) {
-                    // A censoring leader pretends it never saw the request:
-                    // it drops follower echoes (and client requests below)
-                    // but participates in everything else.
-                    if matches!(msg, DirectMsg::Echo { .. })
-                        && self.byz_mode(to, at) == Some(ByzantineMode::CensorRequests)
-                    {
-                        return;
-                    }
-                    let f = ReplicaId(from as u32);
-                    self.engine_call(sh, to, at, |e| e.on_direct(f, msg));
-                }
-            }
-            Lane::ClientReq => {
-                if let Ok(req) = Request::from_bytes(&payload) {
-                    self.counters.rpc_msgs += 1;
-                    if self.byz_mode(to, at) == Some(ByzantineMode::CensorRequests) {
-                        return;
-                    }
-                    // A retransmission of an already-executed request is
-                    // answered from the last-reply table — the engine's
-                    // dedup cannot re-execute it (PBFT's classic re-reply).
-                    let cached = self.nodes[to]
-                        .reply_cache
-                        .get(&req.id.client)
-                        .filter(|reply| reply.id == req.id)
-                        .cloned();
-                    if let Some(reply) = cached {
-                        let c_node = self.client_node(req.id.client.0 as usize);
-                        self.counters.rpc_msgs += 1;
-                        self.channel_send(sh, Lane::ClientResp, to, c_node, reply.to_bytes(), at);
-                        return;
-                    }
-                    self.engine_call(sh, to, at, |e| e.on_client_request(req));
-                }
-            }
-            Lane::ClientResp => {
-                if let Ok(reply) = Reply::from_bytes(&payload) {
-                    let c = to - self.n();
-                    let fx = self.clients[c].on_reply(reply);
-                    for e in fx {
-                        if let ClientEffect::Complete { .. } = e {
-                            self.on_client_complete(sh, c, at);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Clients
-    // ------------------------------------------------------------------
-
-    /// Consecutive stalled retransmission ticks before the broadcaster
-    /// force-converts its unsummarized CTBcast tail to the signed slow
-    /// path (≈ 600 µs at the default 150 µs period — far above a healthy
-    /// summary round trip, so failure-free runs never pay a signature).
-    const SUMMARY_STALL_TICKS: u32 = 4;
-
-    /// One TBcast retransmission tick: every broadcaster this replica owns
-    /// resends its stale unacknowledged tail (§4.2), then the tick re-arms.
-    /// Also the summary-stall watchdog: a crossed-but-uncertified summary
-    /// boundary that survives several ticks means some receiver cannot
-    /// reach it in FIFO order (its fast-path unanimity died with a peer) —
-    /// the only repair is to give the stuck suffix signed slow-path
-    /// evidence, because the summary itself needs that receiver's share.
-    fn on_retransmit_tick(&mut self, sh: &mut Shared<'_>, r: usize, at: Time) {
-        if !self.nodes[r].crashed {
-            for s in 0..self.n() {
-                let fx = self.nodes[r].ctb_tx[s].retransmit_stale();
-                self.handle_tb_effects(sh, r, Lane::CtbTb { stream: s }, at, fx);
-            }
-            let fx = self.nodes[r].cons_tx.retransmit_stale();
-            self.handle_tb_effects(sh, r, Lane::ConsTb, at, fx);
-
-            let sent = self.nodes[r].engine.ctb_sent_count();
-            let done = self.nodes[r].engine.ctb_summarized_upto();
-            let half = self.nodes[r].engine.summary_half();
-            if sent >= done + half {
-                let node = &mut self.nodes[r];
-                node.summary_stall_ticks += 1;
-                if node.summary_stall_ticks >= Self::SUMMARY_STALL_TICKS {
-                    node.summary_stall_ticks = 0;
-                    let mut fx = Vec::new();
-                    for k in done + 1..=sent {
-                        fx.extend(self.nodes[r].ctbs[r].force_slow(SeqId(k)));
-                    }
-                    for e in fx {
-                        self.ctb_effect(sh, r, r, at, e);
-                    }
-                }
+            if lane == Lane::ClientResp {
+                self.on_client_reply(sh, to - self.n(), &inb.payload, at);
             } else {
-                self.nodes[r].summary_stall_ticks = 0;
+                let (node, mut host) = self.replica(sh, to);
+                node.on_message(&mut host, lane, from, inb.payload, at);
             }
         }
-        self.push(sh, at + self.cfg.retransmit_period, Ev::Retransmit { r });
+    }
+
+    fn on_client_reply(&mut self, sh: &mut Shared<'_>, c: usize, payload: &[u8], at: Time) {
+        if let Ok(reply) = Reply::from_bytes(payload) {
+            for e in self.clients[c].on_reply(reply) {
+                if let ClientEffect::Complete { .. } = e {
+                    self.on_client_complete(sh, c, at);
+                }
+            }
+        }
+    }
+
+    fn send_requests(&mut self, sh: &mut Shared<'_>, c: usize, fx: Vec<ClientEffect>, at: Time) {
+        for e in fx {
+            if let ClientEffect::SendRequest { to, req } = e {
+                self.client_msgs += 1;
+                let (from, to) = (self.client_node(c), to.0 as usize);
+                self.net.channel_send(sh, Lane::ClientReq, from, to, req.to_bytes(), at);
+            }
+        }
     }
 
     fn on_client_issue(&mut self, sh: &mut Shared<'_>, c: usize, at: Time) {
@@ -1638,19 +1003,7 @@ impl GroupRuntime {
         self.idle_backoff[c] = 0;
         let (id, fx) = self.clients[c].issue(payload);
         self.issue_times[c] = at;
-        for e in fx {
-            if let ClientEffect::SendRequest { to, req } = e {
-                self.counters.rpc_msgs += 1;
-                self.channel_send(
-                    sh,
-                    Lane::ClientReq,
-                    self.client_node(c),
-                    to.0 as usize,
-                    req.to_bytes(),
-                    at,
-                );
-            }
-        }
+        self.send_requests(sh, c, fx, at);
         self.push(sh, at + client_retry_period(), Ev::ClientRetry { c, id });
     }
 
@@ -1665,19 +1018,8 @@ impl GroupRuntime {
         if self.clients[c].in_flight() != Some(id) {
             return; // completed (or superseded) — nothing to do
         }
-        for e in self.clients[c].retransmit() {
-            if let ClientEffect::SendRequest { to, req } = e {
-                self.counters.rpc_msgs += 1;
-                self.channel_send(
-                    sh,
-                    Lane::ClientReq,
-                    self.client_node(c),
-                    to.0 as usize,
-                    req.to_bytes(),
-                    at,
-                );
-            }
-        }
+        let fx = self.clients[c].retransmit();
+        self.send_requests(sh, c, fx, at);
         self.push(sh, at + client_retry_period(), Ev::ClientRetry { c, id });
     }
 
@@ -1697,29 +1039,26 @@ impl GroupRuntime {
         match ev {
             Ev::Poll { lane, from, to } => self.on_poll(sh, lane, from, to, t),
             Ev::Flush { lane, from, to } => self.on_flush(sh, lane, from, to, t),
-            Ev::Timer { r, kind } => {
-                self.engine_call(sh, r, t, |e| e.on_timer(kind));
+            Ev::Timer { r, timer } => {
+                let (node, mut host) = self.replica(sh, r);
+                node.on_timer(&mut host, timer, t);
             }
-            Ev::CtbSlow { r, k } => {
-                self.ctb_call(sh, r, r, t, |c| c.on_slow_timeout(k));
-            }
-            Ev::CtbSignDone { r, k, sig } => {
-                self.ctb_call(sh, r, r, t, |c| c.on_sign_done(k, sig));
-            }
-            Ev::CtbVerifyDone { r, stream, tag, ok } => {
-                self.ctb_call(sh, r, stream, t, |c| c.on_verify_done(tag, ok));
-            }
-            Ev::CtbWritten { r, stream, k } => {
-                self.ctb_call(sh, r, stream, t, |c| c.on_register_written(k));
-            }
-            Ev::CtbReadDone { r, stream, k, entries } => {
-                self.ctb_call(sh, r, stream, t, |c| c.on_registers_read(k, entries));
+            Ev::Done { r, done } => {
+                let (node, mut host) = self.replica(sh, r);
+                node.on_done(&mut host, done, t);
             }
             Ev::ClientIssue { c } => self.on_client_issue(sh, c, t),
             Ev::ClientRetry { c, id } => self.on_client_retry(sh, c, id, t),
-            Ev::Retransmit { r } => self.on_retransmit_tick(sh, r, t),
             Ev::Replace { r, host } => self.replace_replica(sh, r, host, t),
-            Ev::EngineFx { r, epoch, fx } => self.on_engine_fx(sh, r, epoch, fx, t),
+            Ev::EngineFx { r, epoch, fx } => {
+                let rep = &mut self.net.reps[r];
+                if epoch != rep.epoch {
+                    return; // scheduled by a dead incarnation
+                }
+                rep.deferred_fx = rep.deferred_fx.saturating_sub(1);
+                let (node, mut host) = self.replica(sh, r);
+                node.apply_engine_effects(&mut host, t, fx);
+            }
         }
     }
 }
@@ -1936,7 +1275,7 @@ impl Deployment {
         let gr = &self.groups[g];
         RunReport {
             latency: gr.latency.clone(),
-            counters: gr.counters,
+            counters: gr.counters(),
             completed: gr.completed,
             end: self.now,
             views: gr.views(),
@@ -1963,7 +1302,7 @@ impl Deployment {
         let mut views = Vec::new();
         for gr in &mut self.groups {
             latency.absorb(std::mem::take(&mut gr.latency));
-            counters.merge(&gr.counters);
+            counters.merge(&gr.counters());
             views.extend(gr.views());
         }
         RunReport { latency, counters, completed: self.ctl.completed, end: self.now, views, audit }
@@ -1986,25 +1325,4 @@ impl Deployment {
 /// bit-for-bit guarantee), later groups fold in a golden-ratio multiple.
 pub(crate) fn group_seed(base: u64, g: usize) -> u64 {
     base ^ (g as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// The engine configuration a [`SimConfig`] prescribes for one replica —
-/// shared by initial construction, replacement-node construction, and the
-/// wall-clock threaded backend, so the three can never drift.
-pub(crate) fn engine_config(cfg: &SimConfig, replica: usize) -> EngineConfig {
-    let mut ecfg = EngineConfig::new(cfg.params.clone(), cfg.path);
-    ecfg.echo_round = cfg.echo_round;
-    if let Some(every) = cfg.summary_every {
-        ecfg.summary_half = every;
-    }
-    ecfg.max_batch = cfg.max_batch.max(1);
-    if let Some(depth) = cfg.pipeline_depth {
-        ecfg.pipeline_depth = depth.max(1);
-    }
-    ecfg.record_decisions = cfg.audit;
-    ecfg.client_cache_cap = cfg.client_cache_cap;
-    if let Some(AuditMutation::DecideEarly { replica: target }) = cfg.audit_mutation {
-        ecfg.test_decide_early = target == replica;
-    }
-    ecfg
 }

@@ -6,8 +6,11 @@
 //!   replica engines with per-stream CTBcast instances, TBcast lanes over
 //!   circular-buffer channels, SWMR register banks on `2f_m + 1` memory
 //!   nodes, a crypto-pool model, timers, and closed-loop clients. A thin
-//!   facade over the private `node` (per-replica state) and `group` (event
-//!   loop and lanes) modules.
+//!   facade over the private `node` (per-replica state), `driver` (the one
+//!   interpreter of a replica's protocol effects, behind a `Host` trait),
+//!   and `group` (the virtual-time host: event loop and lanes) modules.
+//! * [`threads`] — the wall-clock backend: the same driver over a
+//!   thread-per-node host.
 //! * [`sharded::ShardedCluster`] — `G` such groups sharing one fabric,
 //!   one event queue, and one set of memory nodes, with requests routed
 //!   per key by [`ubft_apps::ShardRouter`].
@@ -26,6 +29,7 @@ pub mod memory;
 pub mod sharded;
 pub mod threads;
 
+mod driver;
 mod group;
 mod node;
 

@@ -4,15 +4,23 @@
 //! ([`InProcEndpoint`]), with CTBcast signature/digest work offloaded to a
 //! sized crypto worker pool.
 //!
-//! The protocol stack is untouched: the same sans-IO state machines the
-//! discrete-event simulator drives — [`Engine`], [`Ctb`],
-//! [`TailBroadcaster`]/[`TailReceiver`] — emit the same effect enums here;
-//! only the interpreter differs. Where the simulator turns effects into
-//! virtual-time events on a shared queue, this backend turns them into
-//! real sends on the in-process mesh, real `Instant`-based timers, jobs on
-//! the crypto pool, and quorum RPCs to memory-node threads. That is the
-//! whole point of the effect-based design: one protocol implementation,
-//! two execution substrates.
+//! Each replica thread runs the same replica driver as the simulator
+//! (`driver.rs`: one interpreter of the engine, CTBcast, and TBcast
+//! effects and of the replica lanes); only the host differs. This
+//! module's host supplies:
+//!
+//! * **sends** on the in-process mesh (clients are reached through their
+//!   group's client-driver thread);
+//! * **timers** on a per-thread `Instant` heap, stretched by
+//!   [`SimConfig::time_scale`];
+//! * **crypto jobs** on the shared worker pool, whose results come back
+//!   as control frames;
+//! * **register writes and reads** as quorum RPCs to memory-node threads.
+//!
+//! Everything else keeps the driver's failure-free defaults: real time is
+//! the cost (nothing is charged or deferred), no checkpoint snapshot is
+//! retained (so a replica that falls a whole window behind counts a
+//! transfer miss), no fault is injected, and nothing observes.
 //!
 //! What this backend deliberately does **not** model:
 //!
@@ -23,9 +31,9 @@
 //!   deterministically by the simulator backend, which remains bit-for-bit
 //!   pinned (`tests/pinned_sim.rs`).
 //! * **Calibrated costs.** Real time is the cost model. The engine's
-//!   metered [`CryptoOps`](ubft_core::engine::CryptoOps) accounting is
-//!   discarded; CTBcast slow-path signatures and verifications run on the
-//!   worker pool for real.
+//!   metered [`CryptoOps`](ubft_core::engine::CryptoOps) are only counted;
+//!   CTBcast slow-path signatures and verifications run on the worker pool
+//!   for real.
 //! * **Torn register reads.** The SWMR register banks become memory-node
 //!   threads holding a `(group, stream, owner, slot) → (ts, bytes)` store
 //!   behind typed control-frame RPCs, with real `f_m + 1` write/read
@@ -47,22 +55,20 @@ use std::time::Instant;
 
 use ubft_core::app::App;
 use ubft_core::client::{Client, ClientEffect};
-use ubft_core::engine::{Effect, Engine, TimerKind};
-use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request, TbMsg};
+use ubft_core::msg::Reply;
 use ubft_crypto::{Digest, KeyRing, Signature};
-use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
-use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver, TbEffect};
-use ubft_ctb::wire::{signed_bytes, CtbWire, TbAck, TbFrame};
+use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
+use ubft_ctb::wire::signed_bytes;
 use ubft_sim::stats::LatencyStats;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
-use ubft_transport::net::{
-    LaneId, Transport, LANE_CLIENT_REQ, LANE_CLIENT_RESP, LANE_CONS_TB, LANE_DIRECT,
-};
+use ubft_transport::net::{Transport, LANE_CLIENT_REQ, LANE_CLIENT_RESP};
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, ProcessId, ReplicaId, SeqId, Time};
 
 use crate::calibration::{Backend, SimConfig};
-use crate::group::{engine_config, group_seed};
+use crate::driver::{Done, Host, Lane, Timer};
+use crate::group::group_seed;
+use crate::node::{key_ring, ReplicaNode};
 
 /// A threaded-deployment workload source for one group: `None` means "no
 /// request available right now" (the driver re-asks with backoff). Must be
@@ -173,10 +179,8 @@ fn mem_node(shards: usize, n: usize, m: usize) -> u32 {
 
 /// Typed control frames riding each node's inbox next to protocol bytes.
 enum CtlMsg {
-    /// Crypto pool: a requested signature is ready.
-    SignDone { k: SeqId, sig: Signature },
-    /// Crypto pool: a requested verification finished.
-    VerifyDone { stream: usize, tag: VerifyTag, ok: bool },
+    /// Crypto pool: a requested signature or verification finished.
+    Done(Done),
     /// Replica → memory node: store `bytes` under
     /// `(group, stream, owner, slot)` with register timestamp `ts`.
     WriteSlot {
@@ -269,16 +273,14 @@ fn spawn_crypto_workers(
                         let id = ProcessId::Replica(ReplicaId(stream));
                         let signer = rings[group].signer(id).expect("replica key");
                         let sig = signer.sign(&signed_bytes(ReplicaId(stream), k, &fp));
-                        let _ = router.send_ctl(node, CtlMsg::SignDone { k, sig });
+                        let _ = router.send_ctl(node, CtlMsg::Done(Done::Signed { k, sig }));
                     }
                     CryptoJob::Verify { node, group, stream, tag, k, fp, sig } => {
                         let id = ProcessId::Replica(ReplicaId(stream));
                         let msg = signed_bytes(ReplicaId(stream), k, &fp);
                         let ok = rings[group].verify(id, &msg, &sig);
-                        let _ = router.send_ctl(
-                            node,
-                            CtlMsg::VerifyDone { stream: stream as usize, tag, ok },
-                        );
+                        let done = Done::Verified { stream: stream as usize, tag, ok };
+                        let _ = router.send_ctl(node, CtlMsg::Done(done));
                     }
                 }
             })
@@ -356,32 +358,22 @@ const MAX_IDLE_WAIT: std::time::Duration = std::time::Duration::from_millis(5);
 // Replica threads
 // ----------------------------------------------------------------------
 
-enum ReplicaTimer {
-    Engine(TimerKind),
-    CtbSlow(SeqId),
-    Retransmit,
-}
-
 struct PendingWrite {
     stream: usize,
     k: SeqId,
     acks: usize,
-    needed: usize,
 }
 
 struct PendingRead {
     stream: usize,
     k: SeqId,
     responses: usize,
-    needed: usize,
     /// Per-owner best (max-timestamp) raw entry seen so far.
     best: Vec<Option<(u64, Vec<u8>)>>,
 }
 
-/// See `GroupRuntime::SUMMARY_STALL_TICKS` — same watchdog, same value.
-const SUMMARY_STALL_TICKS: u32 = 4;
-
-struct ReplicaThread {
+/// The wall-clock [`Host`] of one replica thread.
+struct ThreadHost {
     g: usize,
     r: usize,
     n: usize,
@@ -390,463 +382,173 @@ struct ReplicaThread {
     node_idx: u32,
     driver_idx: u32,
     mem_base: u32,
-    n_clients: usize,
     scale: u64,
-    retransmit_period: ubft_types::Duration,
-    slow_trigger: ubft_types::Duration,
-    echo_fallback: ubft_types::Duration,
-    progress_timeout: ubft_types::Duration,
     ep: InProcEndpoint<CtlMsg>,
-    engine: Engine,
-    app: Box<dyn App + Send>,
-    ctbs: Vec<Ctb>,
-    ctb_tx: Vec<TailBroadcaster>,
-    ctb_rx: Vec<Vec<TailReceiver>>,
-    cons_tx: TailBroadcaster,
-    cons_rx: Vec<TailReceiver>,
-    reply_cache: ubft_core::lru::LruMap<ClientId, Reply>,
     crypto: Arc<CryptoPool>,
-    timers: TimerWheel<ReplicaTimer>,
+    timers: TimerWheel<Timer>,
     pending_writes: HashMap<u64, PendingWrite>,
     pending_reads: HashMap<u64, PendingRead>,
     next_token: u64,
-    exec_log: Vec<(ClientId, u64)>,
-    transfer_misses: u64,
-    summary_stall_ticks: u32,
 }
 
-impl ReplicaThread {
-    fn run(mut self) -> WallReplicaReport {
-        let fx = self.engine.start();
-        let _ = self.engine.take_crypto_ops();
-        self.apply_engine_fx(fx);
-        self.timers.arm(wall(self.retransmit_period, self.scale), ReplicaTimer::Retransmit);
+impl ThreadHost {
+    fn token(&mut self) -> u64 {
+        self.next_token += 1;
+        self.next_token
+    }
 
-        'main: loop {
-            let now = Instant::now();
-            while let Some(ev) = self.timers.pop_due(now) {
-                self.on_timer(ev);
-            }
-            let wait = self.timers.next_wait(Instant::now(), MAX_IDLE_WAIT);
-            let first = self.ep.recv_timeout(wait);
-            let Some(first) = first else { continue };
-            let mut batch = vec![first];
-            // Drain without blocking: amortize the wakeup over everything
-            // already queued.
-            while let Some(m) = self.ep.try_recv() {
-                batch.push(m);
-            }
-            for m in batch {
-                match m {
-                    InMsg::Net(inb) => self.on_net(inb),
-                    InMsg::Ctl(CtlMsg::Shutdown) => break 'main,
-                    InMsg::Ctl(c) => self.on_ctl(c),
-                }
-            }
-        }
-
-        WallReplicaReport {
-            decided: self.engine.decided_count(),
-            app_digest: self.app.snapshot_digest(),
-            executed: self.exec_log,
-            final_view: self.engine.view().0,
-            transfer_misses: self.transfer_misses,
+    /// Sends `msg` to every memory node.
+    fn to_mem_nodes(&self, msg: impl Fn() -> CtlMsg) {
+        for m in 0..self.n_mem {
+            let _ = self.ep.router().send_ctl(self.mem_base + m as u32, msg());
         }
     }
 
-    fn send(&mut self, lane: LaneId, to: u32, bytes: Vec<u8>) {
-        let me = self.node_idx;
-        let _ = self.ep.send(&mut (), lane, me, to, &bytes, Time::ZERO);
-    }
-
-    fn peer_node(&self, to: ReplicaId) -> u32 {
-        replica_node(self.g, self.n, to.0 as usize)
-    }
-
-    // ---- timers ------------------------------------------------------
-
-    fn on_timer(&mut self, ev: ReplicaTimer) {
-        match ev {
-            ReplicaTimer::Engine(kind) => self.engine_call(|e| e.on_timer(kind)),
-            ReplicaTimer::CtbSlow(k) => {
-                let r = self.r;
-                self.ctb_call(r, |c| c.on_slow_timeout(k));
-            }
-            ReplicaTimer::Retransmit => self.on_retransmit_tick(),
-        }
-    }
-
-    /// Mirror of the simulator's retransmission tick, including the
-    /// summary-stall watchdog that force-converts a stuck unsummarized
-    /// CTBcast tail to the signed slow path.
-    fn on_retransmit_tick(&mut self) {
-        for s in 0..self.n {
-            let fx = self.ctb_tx[s].retransmit_stale();
-            self.handle_tb_effects(Lane::CtbTb { stream: s }, fx);
-        }
-        let fx = self.cons_tx.retransmit_stale();
-        self.handle_tb_effects(Lane::ConsTb, fx);
-
-        let sent = self.engine.ctb_sent_count();
-        let done = self.engine.ctb_summarized_upto();
-        let half = self.engine.summary_half();
-        if sent >= done + half {
-            self.summary_stall_ticks += 1;
-            if self.summary_stall_ticks >= SUMMARY_STALL_TICKS {
-                self.summary_stall_ticks = 0;
-                let mut fx = Vec::new();
-                for k in done + 1..=sent {
-                    fx.extend(self.ctbs[self.r].force_slow(SeqId(k)));
-                }
-                let r = self.r;
-                for e in fx {
-                    self.ctb_effect(r, e);
-                }
-            }
-        } else {
-            self.summary_stall_ticks = 0;
-        }
-        self.timers.arm(wall(self.retransmit_period, self.scale), ReplicaTimer::Retransmit);
-    }
-
-    // ---- inbound -----------------------------------------------------
-
-    fn on_net(&mut self, inb: ubft_transport::net::Inbound) {
-        let from_r = inb.from as usize % self.n; // group-local sender index
-        match inb.lane {
-            LANE_CONS_TB => match TbFrame::from_bytes(&inb.payload) {
-                Ok(TbFrame::Data(wire)) => {
-                    let fx = self.cons_rx[from_r].on_wire(wire);
-                    self.handle_tb_effects(Lane::ConsTb, fx);
-                }
-                Ok(TbFrame::Ack(ack)) => {
-                    self.cons_tx.on_ack(ReplicaId(from_r as u32), ack.upto);
-                }
-                Err(_) => {}
-            },
-            LANE_DIRECT => {
-                if let Ok(msg) = DirectMsg::from_bytes(&inb.payload) {
-                    let f = ReplicaId(from_r as u32);
-                    self.engine_call(|e| e.on_direct(f, msg));
-                }
-            }
-            LANE_CLIENT_REQ => {
-                if let Ok(req) = Request::from_bytes(&inb.payload) {
-                    let cached = self
-                        .reply_cache
-                        .get(&req.id.client)
-                        .filter(|reply| reply.id == req.id)
-                        .cloned();
-                    if let Some(reply) = cached {
-                        let driver = self.driver_idx;
-                        self.send(LANE_CLIENT_RESP, driver, reply.to_bytes());
-                        return;
-                    }
-                    self.engine_call(|e| e.on_client_request(req));
-                }
-            }
-            stream_lane => {
-                // Every remaining lane is a CTBcast stream (stream ids sit
-                // far below the reserved high lane ids).
-                let stream = stream_lane as usize;
-                if stream >= self.n {
-                    return;
-                }
-                match TbFrame::from_bytes(&inb.payload) {
-                    Ok(TbFrame::Data(wire)) => {
-                        let fx = self.ctb_rx[stream][from_r].on_wire(wire);
-                        self.handle_tb_effects(Lane::CtbTb { stream }, fx);
-                    }
-                    Ok(TbFrame::Ack(ack)) => {
-                        self.ctb_tx[stream].on_ack(ReplicaId(from_r as u32), ack.upto);
-                    }
-                    Err(_) => {}
-                }
-            }
-        }
-    }
-
-    fn on_ctl(&mut self, c: CtlMsg) {
-        match c {
-            CtlMsg::SignDone { k, sig } => {
-                let r = self.r;
-                self.ctb_call(r, |c| c.on_sign_done(k, sig));
-            }
-            CtlMsg::VerifyDone { stream, tag, ok } => {
-                self.ctb_call(stream, |c| c.on_verify_done(tag, ok));
-            }
+    /// The job a control frame completes, if any: crypto results pass
+    /// through, and a memory-node answer folds into its pending quorum,
+    /// completing the job once the quorum is reached.
+    fn on_ctl(&mut self, msg: CtlMsg) -> Option<Done> {
+        match msg {
+            CtlMsg::Done(done) => Some(done),
             CtlMsg::WriteAck { token } => {
-                let finished = match self.pending_writes.get_mut(&token) {
-                    Some(w) => {
-                        w.acks += 1;
-                        w.acks >= w.needed
-                    }
-                    None => false, // surplus ack past the quorum
-                };
-                if finished {
-                    let w = self.pending_writes.remove(&token).expect("pending write");
-                    self.ctb_call(w.stream, |c| c.on_register_written(w.k));
+                // Surplus acks past the quorum find no pending entry.
+                let w = self.pending_writes.get_mut(&token)?;
+                w.acks += 1;
+                if w.acks < self.mem_quorum {
+                    return None;
                 }
+                let w = self.pending_writes.remove(&token).expect("pending write");
+                Some(Done::Written { stream: w.stream, k: w.k })
             }
             CtlMsg::ReadResp { token, entries } => {
-                let finished = match self.pending_reads.get_mut(&token) {
-                    Some(rd) => {
-                        rd.responses += 1;
-                        for (best, got) in rd.best.iter_mut().zip(entries) {
-                            if let Some((ts, bytes)) = got {
-                                if best.as_ref().is_none_or(|(b_ts, _)| ts > *b_ts) {
-                                    *best = Some((ts, bytes));
-                                }
-                            }
+                let rd = self.pending_reads.get_mut(&token)?;
+                rd.responses += 1;
+                for (best, got) in rd.best.iter_mut().zip(entries) {
+                    if let Some((ts, bytes)) = got {
+                        if best.as_ref().is_none_or(|(b_ts, _)| ts > *b_ts) {
+                            *best = Some((ts, bytes));
                         }
-                        rd.responses >= rd.needed
                     }
-                    None => false,
-                };
-                if finished {
-                    let rd = self.pending_reads.remove(&token).expect("pending read");
-                    let parsed: Vec<Option<RegEntry>> = rd
-                        .best
-                        .into_iter()
-                        .map(|e| e.and_then(|(_, bytes)| RegEntry::from_bytes(&bytes).ok()))
-                        .collect();
-                    self.ctb_call(rd.stream, |c| c.on_registers_read(rd.k, parsed));
                 }
+                if rd.responses < self.mem_quorum {
+                    return None;
+                }
+                let rd = self.pending_reads.remove(&token).expect("pending read");
+                let entries = rd
+                    .best
+                    .into_iter()
+                    .map(|e| e.and_then(|(_, bytes)| RegEntry::from_bytes(&bytes).ok()))
+                    .collect();
+                Some(Done::Read { stream: rd.stream, k: rd.k, entries })
             }
             // Register RPCs target memory nodes; shutdown is handled by
             // the main loop before this dispatch.
-            CtlMsg::WriteSlot { .. } | CtlMsg::ReadSlot { .. } | CtlMsg::Shutdown => {}
-        }
-    }
-
-    // ---- engine plumbing ---------------------------------------------
-
-    fn engine_call(&mut self, f: impl FnOnce(&mut Engine) -> Vec<Effect>) {
-        let fx = f(&mut self.engine);
-        // Metered crypto accounting is the simulator's cost model; here
-        // real time is the cost.
-        let _ = self.engine.take_crypto_ops();
-        self.apply_engine_fx(fx);
-    }
-
-    fn apply_engine_fx(&mut self, fx: Vec<Effect>) {
-        for e in fx {
-            self.engine_effect(e);
-        }
-    }
-
-    fn engine_effect(&mut self, e: Effect) {
-        match e {
-            Effect::CtbBroadcast(msg) => {
-                let bytes = msg.to_bytes();
-                let r = self.r;
-                let (_k, cfx) = self.ctbs[r].broadcast(bytes);
-                for ce in cfx {
-                    self.ctb_effect(r, ce);
-                }
-            }
-            Effect::TbBroadcast(msg) => {
-                let bytes = msg.to_bytes();
-                let (_k, tfx) = self.cons_tx.broadcast(bytes);
-                self.handle_tb_effects(Lane::ConsTb, tfx);
-            }
-            Effect::SendReplica { to, msg } => {
-                let node = self.peer_node(to);
-                self.send(LANE_DIRECT, node, msg.to_bytes());
-            }
-            Effect::Execute { slot: _, req } => {
-                let payload = self.app.execute(&req.payload);
-                if !req.is_noop() {
-                    self.exec_log.push((req.id.client, req.id.seq));
-                }
-                if !req.is_noop() && (req.id.client.0 as usize) < self.n_clients {
-                    let reply = Reply { id: req.id, replica: ReplicaId(self.r as u32), payload };
-                    let _ = self.reply_cache.insert(req.id.client, reply.clone(), |_| false);
-                    let driver = self.driver_idx;
-                    self.send(LANE_CLIENT_RESP, driver, reply.to_bytes());
-                }
-            }
-            Effect::RequestSnapshot { base } => {
-                let digest = self.app.snapshot_digest();
-                let table = self.engine.exec_table();
-                let exec_digest = ubft_core::msg::exec_table_digest(&table);
-                self.engine_call(|e| e.on_snapshot(base, digest, exec_digest));
-            }
-            Effect::StateTransfer { .. } => {
-                // Failure-free backend: no snapshots are retained, so a
-                // replica that lagged a whole window cannot be healed.
-                // Count it — a nonzero count in the report flags the run
-                // as overloaded — and let it keep participating.
-                self.transfer_misses += 1;
-            }
-            Effect::AdoptStreams { tails } => {
-                for (stream, next) in tails {
-                    self.ctbs[stream.0 as usize].adopt_tail(next);
-                }
-            }
-            Effect::ArmTimer { kind } => {
-                let after = match kind {
-                    TimerKind::Progress => {
-                        self.progress_timeout * u64::from(self.engine.progress_backoff())
-                    }
-                    TimerKind::SlotSlowTrigger(_) => self.slow_trigger,
-                    TimerKind::EchoFallback(_) => self.echo_fallback,
-                };
-                self.timers.arm(wall(after, self.scale), ReplicaTimer::Engine(kind));
-            }
-            Effect::CheckpointAdopted { .. } => {}
-            Effect::ViewChanged { .. } => {}
-            Effect::ByzantineDetected { .. } => {}
-        }
-    }
-
-    // ---- CTBcast plumbing --------------------------------------------
-
-    fn ctb_call(&mut self, stream: usize, f: impl FnOnce(&mut Ctb) -> Vec<CtbEffect>) {
-        let fx = f(&mut self.ctbs[stream]);
-        for e in fx {
-            self.ctb_effect(stream, e);
-        }
-    }
-
-    fn ctb_effect(&mut self, stream: usize, e: CtbEffect) {
-        match e {
-            CtbEffect::Broadcast(wire) => {
-                let bytes = wire.to_bytes();
-                let (_k, tfx) = self.ctb_tx[stream].broadcast(bytes);
-                self.handle_tb_effects(Lane::CtbTb { stream }, tfx);
-            }
-            CtbEffect::Sign { k, fp } => {
-                self.crypto.push(CryptoJob::Sign {
-                    node: self.node_idx,
-                    group: self.g,
-                    stream: stream as u32,
-                    k,
-                    fp,
-                });
-            }
-            CtbEffect::Verify { tag, k, fp, sig } => {
-                self.crypto.push(CryptoJob::Verify {
-                    node: self.node_idx,
-                    group: self.g,
-                    stream: stream as u32,
-                    tag,
-                    k,
-                    fp,
-                    sig,
-                });
-            }
-            CtbEffect::WriteRegister { slot, k, entry } => {
-                self.next_token += 1;
-                let token = self.next_token;
-                self.pending_writes
-                    .insert(token, PendingWrite { stream, k, acks: 0, needed: self.mem_quorum });
-                let bytes = entry.to_bytes();
-                for m in 0..self.n_mem {
-                    let to = self.mem_base + m as u32;
-                    let msg = CtlMsg::WriteSlot {
-                        group: self.g as u32,
-                        stream: stream as u32,
-                        owner: self.r as u32,
-                        slot: slot as u32,
-                        ts: k.0,
-                        bytes: bytes.clone(),
-                        token,
-                        reply_to: self.node_idx,
-                    };
-                    let _ = self.ep.router().send_ctl(to, msg);
-                }
-            }
-            CtbEffect::ReadSlot { slot, k } => {
-                self.next_token += 1;
-                let token = self.next_token;
-                self.pending_reads.insert(
-                    token,
-                    PendingRead {
-                        stream,
-                        k,
-                        responses: 0,
-                        needed: self.mem_quorum,
-                        best: vec![None; self.n],
-                    },
-                );
-                for m in 0..self.n_mem {
-                    let to = self.mem_base + m as u32;
-                    let msg = CtlMsg::ReadSlot {
-                        group: self.g as u32,
-                        stream: stream as u32,
-                        slot: slot as u32,
-                        owners: self.n as u32,
-                        token,
-                        reply_to: self.node_idx,
-                    };
-                    let _ = self.ep.router().send_ctl(to, msg);
-                }
-            }
-            CtbEffect::Deliver { k, payload } => match CtbMsg::from_bytes(&payload) {
-                Ok(msg) => {
-                    let s = ReplicaId(stream as u32);
-                    self.engine_call(|e| e.on_ctb_deliver(s, k, msg));
-                }
-                Err(_) => {
-                    let s = ReplicaId(stream as u32);
-                    self.engine_call(|e| e.on_ctb_equivocation(s, k));
-                }
-            },
-            CtbEffect::Equivocation { k } => {
-                let s = ReplicaId(stream as u32);
-                self.engine_call(|e| e.on_ctb_equivocation(s, k));
-            }
-            CtbEffect::ArmSlowTimer { k } => {
-                self.timers.arm(wall(self.slow_trigger, self.scale), ReplicaTimer::CtbSlow(k));
-            }
-        }
-    }
-
-    // ---- TBcast plumbing ---------------------------------------------
-
-    fn handle_tb_effects(&mut self, lane: Lane, fx: Vec<TbEffect>) {
-        for e in fx {
-            match e {
-                TbEffect::SendTo { to, wire } => {
-                    let node = self.peer_node(to);
-                    self.send(lane.id(), node, TbFrame::Data(wire).to_bytes());
-                }
-                TbEffect::SendAck { to, upto } => {
-                    let node = self.peer_node(to);
-                    self.send(lane.id(), node, TbFrame::Ack(TbAck { upto }).to_bytes());
-                }
-                TbEffect::Deliver { from, k: _, payload } => match lane {
-                    Lane::CtbTb { stream } => {
-                        if let Ok(wire) = CtbWire::from_bytes(&payload) {
-                            self.ctb_call(stream, |c| c.on_tb_deliver(from, wire));
-                        }
-                    }
-                    Lane::ConsTb => {
-                        if let Ok(msg) = TbMsg::from_bytes(&payload) {
-                            self.engine_call(|e| e.on_tb_deliver(from, msg));
-                        }
-                    }
-                },
-            }
+            CtlMsg::WriteSlot { .. } | CtlMsg::ReadSlot { .. } | CtlMsg::Shutdown => None,
         }
     }
 }
 
-/// The two TBcast lane families a replica thread routes (clients and
-/// direct messages address lanes directly).
-#[derive(Clone, Copy)]
-enum Lane {
-    CtbTb { stream: usize },
-    ConsTb,
+impl Host for ThreadHost {
+    fn send(&mut self, lane: Lane, to: usize, bytes: Vec<u8>, _at: Time) {
+        let node = if to < self.n { replica_node(self.g, self.n, to) } else { self.driver_idx };
+        let _ = self.ep.send(&mut (), lane.id(), self.node_idx, node, &bytes, Time::ZERO);
+    }
+
+    fn arm(&mut self, timer: Timer, after: ubft_types::Duration, _at: Time) {
+        self.timers.arm(wall(after, self.scale), timer);
+    }
+
+    fn sign(&mut self, stream: usize, k: SeqId, fp: Digest, _at: Time) {
+        let (node, group, stream) = (self.node_idx, self.g, stream as u32);
+        self.crypto.push(CryptoJob::Sign { node, group, stream, k, fp });
+    }
+
+    fn verify(
+        &mut self,
+        stream: usize,
+        tag: VerifyTag,
+        k: SeqId,
+        fp: Digest,
+        sig: Signature,
+        _at: Time,
+    ) {
+        let (node, group, stream) = (self.node_idx, self.g, stream as u32);
+        self.crypto.push(CryptoJob::Verify { node, group, stream, tag, k, fp, sig });
+    }
+
+    fn write_register(&mut self, stream: usize, slot: usize, k: SeqId, bytes: Vec<u8>, _at: Time) {
+        let token = self.token();
+        self.pending_writes.insert(token, PendingWrite { stream, k, acks: 0 });
+        self.to_mem_nodes(|| CtlMsg::WriteSlot {
+            group: self.g as u32,
+            stream: stream as u32,
+            owner: self.r as u32,
+            slot: slot as u32,
+            ts: k.0,
+            bytes: bytes.clone(),
+            token,
+            reply_to: self.node_idx,
+        });
+    }
+
+    fn read_register(&mut self, stream: usize, slot: usize, k: SeqId, _at: Time) {
+        let token = self.token();
+        let best = vec![None; self.n];
+        self.pending_reads.insert(token, PendingRead { stream, k, responses: 0, best });
+        self.to_mem_nodes(|| CtlMsg::ReadSlot {
+            group: self.g as u32,
+            stream: stream as u32,
+            slot: slot as u32,
+            owners: self.n as u32,
+            token,
+            reply_to: self.node_idx,
+        });
+    }
 }
 
-impl Lane {
-    fn id(self) -> LaneId {
-        match self {
-            Lane::CtbTb { stream } => stream as LaneId,
-            Lane::ConsTb => LANE_CONS_TB,
+/// One replica thread's loop: the shared driver over this thread's host.
+fn run_replica(mut host: ThreadHost, mut node: ReplicaNode) -> WallReplicaReport {
+    node.engine_call(&mut host, Time::ZERO, |e| e.start());
+    host.arm(Timer::Retransmit, node.timeouts.retransmit, Time::ZERO);
+
+    'main: loop {
+        let now = Instant::now();
+        while let Some(timer) = host.timers.pop_due(now) {
+            node.on_timer(&mut host, timer, Time::ZERO);
         }
+        let wait = host.timers.next_wait(Instant::now(), MAX_IDLE_WAIT);
+        let Some(first) = host.ep.recv_timeout(wait) else { continue };
+        let mut batch = vec![first];
+        // Drain without blocking: amortize the wakeup over everything
+        // already queued.
+        while let Some(m) = host.ep.try_recv() {
+            batch.push(m);
+        }
+        for m in batch {
+            match m {
+                InMsg::Net(inb) => {
+                    if let Some(lane) = Lane::from_id(inb.lane, host.n) {
+                        // Replica senders map to their group-local index.
+                        let from = inb.from as usize % host.n;
+                        node.on_message(&mut host, lane, from, inb.payload, Time::ZERO);
+                    }
+                }
+                InMsg::Ctl(CtlMsg::Shutdown) => break 'main,
+                InMsg::Ctl(c) => {
+                    if let Some(done) = host.on_ctl(c) {
+                        node.on_done(&mut host, done, Time::ZERO);
+                    }
+                }
+            }
+        }
+    }
+
+    WallReplicaReport {
+        decided: node.engine.decided_count(),
+        app_digest: node.app.snapshot_digest(),
+        final_view: node.engine.view().0,
+        transfer_misses: node.transfer_misses,
+        executed: node.exec_log,
     }
 }
 
@@ -1080,18 +782,16 @@ pub fn run_wallclock(
     let mut eps: Vec<Option<InProcEndpoint<CtlMsg>>> = eps.into_iter().map(Some).collect();
     let mut take_ep = |idx: u32| eps[idx as usize].take().expect("endpoint taken once");
 
-    // Per-group key rings, derived exactly as the simulator derives them.
-    let rings: Vec<KeyRing> = (0..shards)
+    // Per-group configurations (group-local seeds) and key rings, derived
+    // exactly as the simulator derives them.
+    let gcfgs: Vec<SimConfig> = (0..shards)
         .map(|g| {
-            KeyRing::generate(
-                group_seed(cfg.seed, g) ^ 0x5EED,
-                (0..n as u32)
-                    .map(|i| ProcessId::Replica(ReplicaId(i)))
-                    .chain((0..n_clients as u32).map(|i| ProcessId::Client(ClientId(i)))),
-            )
+            let mut c = cfg.clone();
+            c.seed = group_seed(cfg.seed, g);
+            c
         })
         .collect();
-    let rings = Arc::new(rings);
+    let rings = Arc::new(gcfgs.iter().map(key_ring).collect::<Vec<KeyRing>>());
 
     let pool = Arc::new(CryptoPool::new());
     let crypto_handles = spawn_crypto_workers(workers, &pool, &rings, &router);
@@ -1104,56 +804,11 @@ pub fn run_wallclock(
         .collect();
 
     let mut replica_handles = Vec::with_capacity(shards * n);
-    for g in 0..shards {
-        let gcfg = {
-            let mut c = cfg.clone();
-            c.seed = group_seed(cfg.seed, g);
-            c
-        };
-        let mut apps = make_apps(g);
+    for (g, gcfg) in gcfgs.iter().enumerate() {
+        let apps = make_apps(g);
         assert_eq!(apps.len(), n, "one app instance per replica");
-        let replica_ids: Vec<ReplicaId> = cfg.params.replicas().collect();
-        for r in 0..n {
-            let engine =
-                Engine::new(ReplicaId(r as u32), engine_config(&gcfg, r), rings[g].clone());
-            let ctb_cfg = match cfg.path {
-                ubft_core::engine::PathMode::FastOnly => CtbConfig {
-                    n,
-                    tail: cfg.params.tail,
-                    fast_enabled: true,
-                    slow: SlowMode::Never,
-                },
-                ubft_core::engine::PathMode::SlowOnly => CtbConfig {
-                    n,
-                    tail: cfg.params.tail,
-                    fast_enabled: false,
-                    slow: SlowMode::Always,
-                },
-                ubft_core::engine::PathMode::FastWithFallback => {
-                    CtbConfig::deployed(n, cfg.params.tail)
-                }
-            };
-            let ctbs: Vec<Ctb> = (0..n)
-                .map(|s| {
-                    Ctb::new(ReplicaId(r as u32), ReplicaId(s as u32), replica_ids.clone(), ctb_cfg)
-                })
-                .collect();
-            let cap = 2 * cfg.params.tail;
-            let peers: Vec<ReplicaId> =
-                (0..n as u32).map(ReplicaId).filter(|x| x.0 as usize != r).collect();
-            let ctb_tx: Vec<TailBroadcaster> = (0..n)
-                .map(|_s| TailBroadcaster::new(ReplicaId(r as u32), peers.clone(), cap))
-                .collect();
-            let ctb_rx: Vec<Vec<TailReceiver>> = (0..n)
-                .map(|_s| {
-                    (0..n).map(|sender| TailReceiver::new(ReplicaId(sender as u32), cap)).collect()
-                })
-                .collect();
-            let cons_tx = TailBroadcaster::new(ReplicaId(r as u32), peers.clone(), cap);
-            let cons_rx: Vec<TailReceiver> =
-                (0..n).map(|s| TailReceiver::new(ReplicaId(s as u32), cap)).collect();
-
-            let t = ReplicaThread {
+        for (r, app) in apps.into_iter().enumerate() {
+            let host = ThreadHost {
                 g,
                 r,
                 n,
@@ -1162,34 +817,20 @@ pub fn run_wallclock(
                 node_idx: replica_node(g, n, r),
                 driver_idx: driver_node(shards, n, g),
                 mem_base,
-                n_clients,
                 scale,
-                retransmit_period: cfg.retransmit_period,
-                slow_trigger: cfg.slow_trigger,
-                echo_fallback: cfg.echo_fallback,
-                progress_timeout: cfg.progress_timeout,
                 ep: take_ep(replica_node(g, n, r)),
-                engine,
-                app: apps.remove(0),
-                ctbs,
-                ctb_tx,
-                ctb_rx,
-                cons_tx,
-                cons_rx,
-                reply_cache: ubft_core::lru::LruMap::new(
-                    cfg.client_cache_cap
-                        .map(|c| c.max(2 * cfg.params.window * cfg.max_batch.max(1))),
-                ),
                 crypto: Arc::clone(&pool),
                 timers: TimerWheel::new(),
                 pending_writes: HashMap::new(),
                 pending_reads: HashMap::new(),
                 next_token: 0,
-                exec_log: Vec::new(),
-                transfer_misses: 0,
-                summary_stall_ticks: 0,
             };
-            replica_handles.push(std::thread::spawn(move || t.run()));
+            let (gcfg, ring) = (gcfg.clone(), rings[g].clone());
+            // The node holds a non-`Send` app box, so it is built on its
+            // own thread.
+            replica_handles.push(std::thread::spawn(move || {
+                run_replica(host, ReplicaNode::new(r, &gcfg, ring, app))
+            }));
         }
     }
 
@@ -1310,19 +951,20 @@ pub fn run_backend(
             dep.settle(ubft_types::Duration::from_millis(5));
             let end = dep.now;
             let report = dep.aggregate_report(None);
-            let n = cfg.params.n();
             let groups = dep
                 .groups
                 .iter()
                 .map(|gr| WallGroupReport {
                     completed: gr.completed,
-                    replicas: (0..n)
-                        .map(|r| WallReplicaReport {
-                            decided: gr.decided_of(r),
-                            app_digest: gr.app_digest(r),
-                            executed: gr.exec_log(r).to_vec(),
-                            final_view: gr.view_of(r).0,
-                            transfer_misses: 0,
+                    replicas: gr
+                        .nodes
+                        .iter()
+                        .map(|nd| WallReplicaReport {
+                            decided: nd.engine.decided_count(),
+                            app_digest: nd.app.snapshot_digest(),
+                            executed: nd.exec_log.clone(),
+                            final_view: nd.engine.view().0,
+                            transfer_misses: nd.transfer_misses,
                         })
                         .collect(),
                 })
